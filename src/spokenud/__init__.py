@@ -42,7 +42,7 @@ from .metrics import (
     aggregate_by_category,
     attachment_scores,
 )
-from .backends import BackendConfig, ReplayStore, complete, make_backend
+from .backends import BackendConfig, ReplayStore, make_backend
 from .config import ToolkitConfig, load_config
 from .pipeline import FinalParse, SentenceFailure, parse_sentence, run_batch
 
@@ -59,7 +59,7 @@ __all__ = [
     "BenchmarkManifest", "SheetRow", "emit_conllu", "emit_sheet",
     "load_manifest", "parse_conllu", "parse_sheet",
     "StandardScores", "aggregate_by_category", "attachment_scores",
-    "BackendConfig", "ReplayStore", "complete", "make_backend",
+    "BackendConfig", "ReplayStore", "make_backend",
     "ToolkitConfig", "load_config",
     "FinalParse", "SentenceFailure", "parse_sentence", "run_batch",
     "__version__",

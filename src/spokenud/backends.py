@@ -13,7 +13,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import SpokenUdError
@@ -230,8 +230,3 @@ def make_backend(config: BackendConfig):
         return RecordBackend(config)
     return ReplayBackend(config)
 
-
-def complete(system_prompt: str, user_prompt: str, config: BackendConfig,
-             key: str | None = None) -> str:
-    """One completion under the configured mode."""
-    return make_backend(config).complete(system_prompt, user_prompt, key)

@@ -26,6 +26,7 @@ from .flexud import (
     flexud_report,
 )
 from .ioformats import (
+    DuplicateSentenceId,
     emit_conllu,
     emit_sheet,
     load_manifest,
@@ -177,11 +178,21 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
 
 
 def _pair_sentences(gold_path: str, system_path: str):
-    gold = {s.sentence_id: s for s in parse_conllu(_read(gold_path))}
-    system = {s.sentence_id: s for s in parse_conllu(_read(system_path))}
+    gold = _sentences_by_id(gold_path)
+    system = _sentences_by_id(system_path)
     if set(gold) != set(system):
         raise SentenceIdMismatch(set(gold) - set(system), set(system) - set(gold))
     return [(gold[sid], system[sid]) for sid in sorted(gold)]
+
+
+def _sentences_by_id(path: str) -> dict[str, Sentence]:
+    by_id: dict[str, Sentence] = {}
+    for sentence in parse_conllu(_read(path)):
+        if sentence.sentence_id in by_id:
+            raise DuplicateSentenceId(
+                f"{sentence.sentence_id or '<unnamed>'} in {path}")
+        by_id[sentence.sentence_id] = sentence
+    return by_id
 
 
 def _read(path: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -222,23 +223,30 @@ class Sentence:
         return {t.id: t for t in self.tokens}
 
 
-def mwe_component_ids(sentence: Sentence) -> set[NodeId]:
-    """Integer node ids covered by a dotted MWE node's span.
+def dotted_span(node: NodeId, form: str) -> list[NodeId]:
+    """Integer ids a dotted MWE node's span covers, present or not: one row
+    per underscore-separated component of its form, from its own major."""
+    width = form.count("_") + 1
+    return [NodeId(major) for major in range(node.major, node.major + width)]
 
-    The span of a dotted node starts at its own major and covers as many
-    integer rows as the node's form has underscore-separated components.
-    """
-    covered: set[NodeId] = set()
-    present = {t.id for t in sentence.tokens}
-    for token in sentence.tokens:
-        if not token.id.is_dotted:
-            continue
-        width = token.form.count("_") + 1
-        for major in range(token.id.major, token.id.major + width):
-            candidate = NodeId(major)
-            if candidate in present:
-                covered.add(candidate)
-    return covered
+
+def mwe_components(pairs: Iterable[tuple[NodeId, str]]) -> dict[NodeId, NodeId]:
+    """Present component id -> the dotted node whose span covers it, over
+    (id, form) pairs; when two dotted nodes cover a component the later wins."""
+    pairs = list(pairs)
+    present = {node for node, _ in pairs}
+    covering: dict[NodeId, NodeId] = {}
+    for node, form in pairs:
+        if node.is_dotted:
+            for component in dotted_span(node, form):
+                if component in present:
+                    covering[component] = node
+    return covering
+
+
+def mwe_component_ids(sentence: Sentence) -> set[NodeId]:
+    """Integer node ids covered by a dotted MWE node's span."""
+    return set(mwe_components((t.id, t.form) for t in sentence.tokens))
 
 
 def annotatable_tokens(sentence: Sentence) -> list[Token]:
@@ -315,7 +323,7 @@ def validate_tree(sentence: Sentence) -> ValidationReport:
                 IssueCode.DANGLING_ANCHOR, (token.id,),
                 f"spoken anchor {token.spoken_anchor} of {token.id} does not exist"))
 
-    for cycle in _head_cycles(tokens, present):
+    for cycle in head_cycles(tokens, present):
         issues.append(ValidationIssue(
             IssueCode.CYCLE, tuple(cycle),
             "head links form a cycle: " + ", ".join(str(n) for n in cycle)))
@@ -331,11 +339,12 @@ def validate_tree(sentence: Sentence) -> ValidationReport:
     return ValidationReport.from_issues(issues)
 
 
-def _head_cycles(tokens: Iterable[Token],
-                 present: set[NodeId]) -> list[list[NodeId]]:
-    """All disjoint cycles in the head link graph, sorted by smallest member."""
-    head_of = {t.id: t.head for t in tokens
-               if isinstance(t.head, NodeId) and t.head in present}
+def head_cycles(nodes: Iterable, present: set[NodeId]) -> list[list[NodeId]]:
+    """All disjoint cycles among the head links of ``nodes`` (objects with
+    ``id`` and ``head``; heads outside ``present`` are ignored), sorted by
+    smallest member."""
+    head_of = {n.id: n.head for n in nodes
+               if isinstance(n.head, NodeId) and n.head in present}
     color: dict[NodeId, int] = {}  # 1 = on current path, 2 = done
     cycles: list[list[NodeId]] = []
     for start in head_of:
@@ -362,19 +371,19 @@ def topological_order(sentence: Sentence) -> list[NodeId]:
     cyclic. Requires that no head reference dangles.
     """
     present = {t.id for t in sentence.tokens}
-    cycles = _head_cycles(sentence.tokens, present)
+    cycles = head_cycles(sentence.tokens, present)
     if cycles:
         raise CycleFound(cycles[0])
     children: dict[NodeId, list[NodeId]] = {t.id: [] for t in sentence.tokens}
     order: list[NodeId] = []
-    queue: list[NodeId] = []
+    queue: deque[NodeId] = deque()
     for token in sentence.tokens:
         if isinstance(token.head, NodeId):
             children[token.head].append(token.id)
         else:
             queue.append(token.id)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         order.append(node)
         queue.extend(children[node])
     return order

@@ -22,15 +22,15 @@ from .core import (
     Category,
     NodeId,
     ROOT,
-    RootSentinel,
     Sentence,
     SpokenUdError,
     annotatable_tokens,
     base_deprel,
-    mwe_component_ids,
+    dotted_span,
     validate_tree,
     IssueCode,
 )
+from .metrics import head_matches, resolve_head
 from .reporting import Table
 
 LINK_KINDS = ("one_one", "gold_split", "system_split", "mwe",
@@ -228,32 +228,29 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     return steps
 
 
-def _span_ids(token, sentence: Sentence) -> list[NodeId]:
-    """Integer component ids a dotted node covers in its own sentence."""
-    width = token.form.count("_") + 1
-    present = {t.id for t in sentence.tokens}
-    return [NodeId(m) for m in range(token.id.major, token.id.major + width)
-            if NodeId(m) in present]
-
-
 def _attach_dotted_nodes(gold: Sentence, system: Sentence,
                          links: list[AlignmentLink]) -> list[AlignmentLink]:
     one_one = {l.gold_ids[0]: l.system_ids[0]
                for l in links if l.kind == "one_one"}
     gold_dotted = [t for t in gold.tokens if t.id.is_dotted]
     system_dotted = [t for t in system.tokens if t.id.is_dotted]
+    gold_present = {t.id for t in gold.tokens}
+    system_present = {t.id for t in system.tokens}
     claimed_system_dotted: set[NodeId] = set()
+
+    def span(token, present):
+        return [c for c in dotted_span(token.id, token.form) if c in present]
 
     for token in gold_dotted:
         # Only one-one aligned span components can be folded into an mwe
         # link; components captured by split/merge links stay where they are.
-        aligned = [c for c in _span_ids(token, gold) if c in one_one]
+        aligned = [c for c in span(token, gold_present) if c in one_one]
         partners = [one_one[c] for c in aligned]
         matched = None
         for candidate in system_dotted:
             if candidate.id in claimed_system_dotted:
                 continue
-            if set(_span_ids(candidate, system)) == set(partners) and partners:
+            if set(span(candidate, system_present)) == set(partners) and partners:
                 matched = candidate
                 break
         if matched is not None:
@@ -274,7 +271,7 @@ def _attach_dotted_nodes(gold: Sentence, system: Sentence,
     for token in system_dotted:
         if token.id in claimed_system_dotted:
             continue
-        aligned = [c for c in _span_ids(token, system) if c in back]
+        aligned = [c for c in span(token, system_present) if c in back]
         partners = [back[c] for c in aligned]
         if partners:
             merged_system = sorted(aligned + [token.id], key=lambda x: x._key())
@@ -393,18 +390,13 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
             if pair is not None:
                 upos_credit += pair
 
-        resolved = _resolve_to_gold(partner.head, system_to_gold)
-        target = token.head
-        if isinstance(target, RootSentinel):
-            if resolved is ROOT:
-                head_credit += 1
-        elif isinstance(target, NodeId):
-            if resolved == target:
-                head_credit += 1
-            else:
-                grand = gold_by_id.get(target)
-                if grand is not None and _head_matches(resolved, grand.head):
-                    head_credit += Fraction(1, 2)
+        resolved = resolve_head(partner.head, system_to_gold)
+        if head_matches(resolved, token.head):
+            head_credit += 1
+        elif isinstance(token.head, NodeId):
+            grand = gold_by_id.get(token.head)
+            if grand is not None and head_matches(resolved, grand.head):
+                head_credit += Fraction(1, 2)
 
         if partner.deprel == token.deprel:
             deprel_credit += 1
@@ -421,22 +413,6 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
         s_head=_percentage(head_credit, denominator),
         s_deprel=_percentage(deprel_credit, denominator),
     )
-
-
-def _resolve_to_gold(head, system_to_gold):
-    if isinstance(head, RootSentinel):
-        return ROOT
-    if isinstance(head, NodeId):
-        return system_to_gold.get(head)
-    return None
-
-
-def _head_matches(resolved, gold_head) -> bool:
-    if isinstance(gold_head, RootSentinel):
-        return resolved is ROOT
-    if isinstance(gold_head, NodeId):
-        return resolved == gold_head
-    return False
 
 
 # --- severity ------------------------------------------------------------------
@@ -549,7 +525,7 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
         partner_id = one_one.get(token.id)
         if partner_id is None:
             continue
-        resolved = _resolve_to_gold(system_by_id[partner_id].head, system_to_gold)
+        resolved = resolve_head(system_by_id[partner_id].head, system_to_gold)
         if resolved is None:
             continue
         subtree = descendants.get(token.head, {token.head})
@@ -583,24 +559,36 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
 
 
 def _gold_subtrees(gold: Sentence) -> dict[NodeId, set[NodeId]]:
+    """Node -> itself plus its descendants, by an iterative depth-first walk
+    that never re-enters a node on the current path. In a cyclic gold tree
+    the sets of cycle members depend on where the walk entered the cycle."""
     children: dict[NodeId, list[NodeId]] = {t.id: [] for t in gold.tokens}
     for token in gold.tokens:
         if isinstance(token.head, NodeId) and token.head in children:
             children[token.head].append(token.id)
     subtree: dict[NodeId, set[NodeId]] = {}
-
-    def collect(node: NodeId, seen: frozenset) -> set[NodeId]:
-        if node in subtree:
-            return subtree[node]
-        result = {node}
-        for child in children.get(node, ()):
-            if child not in seen:
-                result |= collect(child, seen | {node})
-        subtree[node] = result
-        return result
-
     for token in gold.tokens:
-        collect(token.id, frozenset())
+        if token.id in subtree:
+            continue
+        on_path = {token.id}
+        stack = [(token.id, iter(children[token.id]), {token.id})]
+        while stack:
+            node, pending, result = stack[-1]
+            for child in pending:
+                if child in on_path:
+                    continue
+                if child in subtree:
+                    result.update(subtree[child])
+                    continue
+                on_path.add(child)
+                stack.append((child, iter(children[child]), {child}))
+                break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                subtree[node] = result
+                if stack:
+                    stack[-1][2].update(result)
     return subtree
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (
+    LANG_TAGS,
     ROOT,
     Category,
     NodeId,
@@ -22,7 +23,6 @@ from .core import (
     Sentence,
     SpokenUdError,
     Token,
-    UnknownCategory,
     mwe_component_ids,
 )
 
@@ -106,7 +106,7 @@ def _parse_misc(misc: str, line_no: int) -> dict:
         if not sep:
             continue  # foreign MISC entries without '=' are dropped
         if key == "Lang":
-            fields["lang_tag"] = value if value in ("eng", "spa", "mixed") else "unknown"
+            fields["lang_tag"] = value if value in LANG_TAGS else "unknown"
         elif key == "SpokenLabel":
             fields["spoken_label"] = value
         elif key == "SpokenAnchor":

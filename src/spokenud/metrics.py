@@ -93,12 +93,8 @@ def attachment_scores(gold: Sentence, system: Sentence, alignment) -> StandardSc
             raise AlignmentMismatch(
                 f"alignment references unknown node ids: {link}")
 
-    gold_to_system: dict[NodeId, NodeId] = {}
-    system_to_gold: dict[NodeId, NodeId] = {}
-    for link in alignment.links:
-        if link.kind == "one_one":
-            gold_to_system[link.gold_ids[0]] = link.system_ids[0]
-            system_to_gold[link.system_ids[0]] = link.gold_ids[0]
+    gold_to_system = alignment.one_one()
+    system_to_gold = {s: g for g, s in gold_to_system.items()}
 
     system_by_id = system.token_index()
     counts = AttachmentCounts()
@@ -109,11 +105,8 @@ def attachment_scores(gold: Sentence, system: Sentence, alignment) -> StandardSc
         if aligned:
             partner = system_by_id[gold_to_system[token.id]]
             upos_ok = partner.upos == token.upos
-            resolved = _resolve_head(partner.head, system_to_gold)
-            if isinstance(token.head, RootSentinel):
-                head_ok = resolved is ROOT
-            elif isinstance(token.head, NodeId):
-                head_ok = resolved == token.head
+            head_ok = head_matches(resolve_head(partner.head, system_to_gold),
+                                   token.head)
             label_ok = head_ok and partner.deprel == token.deprel
         counts += AttachmentCounts(
             gold_total=1,
@@ -129,12 +122,23 @@ def attachment_scores(gold: Sentence, system: Sentence, alignment) -> StandardSc
     return StandardScores.from_counts(counts)
 
 
-def _resolve_head(head, system_to_gold):
+def resolve_head(head, system_to_gold: dict):
+    """A system head in gold terms: ROOT, the one-one aligned gold id, or
+    None when the head is missing or its token is not one-one aligned."""
     if isinstance(head, RootSentinel):
         return ROOT
     if isinstance(head, NodeId):
         return system_to_gold.get(head)
     return None
+
+
+def head_matches(resolved, gold_head) -> bool:
+    """True when a resolved system head equals the gold head."""
+    if isinstance(gold_head, RootSentinel):
+        return resolved is ROOT
+    if isinstance(gold_head, NodeId):
+        return resolved == gold_head
+    return False
 
 
 @dataclass(frozen=True)

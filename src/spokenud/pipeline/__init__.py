@@ -35,7 +35,6 @@ from .finalize import (
     enforce_single_root_rows,
     finalize,
     induced_sentence,
-    map_spoken_labels,
     repair_cycles_rows,
 )
 from .prompts import render_prompt, stage_schema
@@ -51,6 +50,6 @@ __all__ = [
     "parse_core", "parse_lsr", "parse_sph",
     "validate_core", "validate_lsr", "validate_sph",
     "enforce_single_root_rows", "finalize", "induced_sentence",
-    "map_spoken_labels", "repair_cycles_rows",
+    "repair_cycles_rows",
     "render_prompt", "stage_schema",
 ]

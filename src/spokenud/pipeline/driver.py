@@ -7,6 +7,7 @@ from typing import Iterable
 
 from ..backends import BackendError
 from ..core import Sentence
+from ..ioformats import DuplicateSentenceId
 from .agents import SchemaViolation, run_agent
 from .envelopes import FinalParse, SentenceFailure
 from .finalize import finalize
@@ -43,8 +44,14 @@ def parse_sentence(sentence: Sentence, backend, config) -> FinalParse | Sentence
 def run_batch(sentences: Iterable[Sentence], backend, config,
               workers: int = 1) -> list[FinalParse | SentenceFailure]:
     """Parse sentences on a bounded worker pool; results come back in
-    sentence-id order regardless of completion order."""
+    sentence-id order regardless of completion order. A repeated sentence id
+    raises DuplicateSentenceId before any backend call."""
     sentences = list(sentences)
+    seen: set[str] = set()
+    for sentence in sentences:
+        if sentence.sentence_id in seen:
+            raise DuplicateSentenceId(sentence.sentence_id)
+        seen.add(sentence.sentence_id)
     results: dict[str, FinalParse | SentenceFailure] = {}
     if workers <= 1:
         for sentence in sentences:

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterable, Sequence
 
-from ..core import NodeId, SpokenUdError
-from .envelopes import PipelineToken, build_id_map, mwe_component_ids_of
+from ..core import NodeId, SpokenUdError, mwe_components
+from .envelopes import PipelineToken, build_id_map
 
 
 class SplitOnDottedNode(SpokenUdError):
@@ -118,7 +118,7 @@ def make_dotted_mwe(tokens: Sequence[PipelineToken],
     dotted_id = NodeId(majors[0], 1)
     if dotted_id in by_id:
         raise OverlappingMwe(f"dotted node {dotted_id} already exists")
-    covered = mwe_component_ids_of(tokens)
+    covered = mwe_components((t.proposed_id, t.split_token) for t in tokens)
     clash = [node for node in span if node in covered]
     if clash:
         raise OverlappingMwe(f"nodes {clash} already belong to an MWE span")

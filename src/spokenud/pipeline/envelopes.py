@@ -16,6 +16,7 @@ from typing import Iterable
 
 from ..core import (
     LANG_TAGS,
+    SPOKEN_LABELS,
     NodeId,
     Sentence,
     SpokenUdError,
@@ -23,10 +24,10 @@ from ..core import (
     UD_RELATIONS,
     base_deprel,
     canonical_deprel,
+    dotted_span,
+    mwe_components,
 )
 from ..ioformats import SheetRow
-
-SPOKEN_LABEL_VALUES = ("reparandum", "dep", "discourse", "filler", "none")
 
 
 class IrreconcilableEnvelopes(SpokenUdError):
@@ -187,7 +188,7 @@ def parse_stage_tokens(obj: dict, violations: list[str]) -> tuple[PipelineToken,
             anchor = _parse_node_id(raw["spoken_anchor"], violations,
                                     f"{context}.spoken_anchor")
         label = raw.get("spoken_label")
-        if label is not None and label not in SPOKEN_LABEL_VALUES:
+        if label is not None and label not in SPOKEN_LABELS:
             violations.append(f"{context}: unknown spoken_label {label!r}")
             label = None
         lang = raw.get("lang_tag", "unknown")
@@ -227,10 +228,10 @@ def parse_id_map(obj: dict, violations: list[str]) -> dict:
     return id_map
 
 
-def parse_sph(obj: dict) -> tuple[SphOutput, list[str]]:
+def _parse_stage(envelope_class, obj: dict):
     violations: list[str] = []
     tokens = parse_stage_tokens(obj, violations)
-    envelope = SphOutput(
+    envelope = envelope_class(
         sentence_id=str(obj.get("sentence_id", "")),
         tokens=tokens,
         id_map=parse_id_map(obj, violations),
@@ -238,19 +239,14 @@ def parse_sph(obj: dict) -> tuple[SphOutput, list[str]]:
         confidence=obj.get("confidence"),
     )
     return envelope, violations
+
+
+def parse_sph(obj: dict) -> tuple[SphOutput, list[str]]:
+    return _parse_stage(SphOutput, obj)
 
 
 def parse_lsr(obj: dict) -> tuple[LsrOutput, list[str]]:
-    violations: list[str] = []
-    tokens = parse_stage_tokens(obj, violations)
-    envelope = LsrOutput(
-        sentence_id=str(obj.get("sentence_id", "")),
-        tokens=tokens,
-        id_map=parse_id_map(obj, violations),
-        summary=str(obj.get("summary_notes", "") or ""),
-        confidence=obj.get("confidence"),
-    )
-    return envelope, violations
+    return _parse_stage(LsrOutput, obj)
 
 
 def parse_core(obj: dict) -> tuple[CoreOutput, list[str]]:
@@ -281,24 +277,6 @@ def parse_core(obj: dict) -> tuple[CoreOutput, list[str]]:
 
 
 # --- structural helpers ---------------------------------------------------------
-
-def dotted_span_majors(token: PipelineToken) -> list[int]:
-    width = token.split_token.count("_") + 1
-    return list(range(token.proposed_id.major, token.proposed_id.major + width))
-
-
-def mwe_component_ids_of(tokens: Iterable[PipelineToken]) -> set[NodeId]:
-    tokens = list(tokens)
-    present = {t.proposed_id for t in tokens}
-    covered: set[NodeId] = set()
-    for token in tokens:
-        if token.proposed_id.is_dotted:
-            for major in dotted_span_majors(token):
-                node = NodeId(major)
-                if node in present:
-                    covered.add(node)
-    return covered
-
 
 def build_id_map(tokens: Iterable[PipelineToken]) -> dict:
     """Original index -> proposed ids, each list in node-id order."""
@@ -339,16 +317,16 @@ def _check_stage_tokens(envelope: SphOutput, input_sentence: Sentence,
             if token.proposed_id.minor != 1:
                 violations.append(
                     f"dotted node {token.proposed_id} must use minor 1")
-            span = dotted_span_majors(token)
+            span = dotted_span(token.proposed_id, token.split_token)
             if len(span) < 2:
                 violations.append(
                     f"dotted node {token.proposed_id} must span at least 2 "
                     f"underscore-joined components")
-            missing = [m for m in span if NodeId(m) not in present]
+            missing = [c.major for c in span if c not in present]
             if missing:
                 violations.append(
                     f"dotted node {token.proposed_id} spans missing rows {missing}")
-            elif position[token.proposed_id] != position[NodeId(span[-1])] + 1:
+            elif position[token.proposed_id] != position[span[-1]] + 1:
                 violations.append(
                     f"dotted node {token.proposed_id} must appear immediately "
                     f"after its span")
@@ -453,7 +431,8 @@ def validate_core(envelope: CoreOutput, lsr: LsrOutput,
             f"expected {[str(i) for i in expected]}, got {[str(i) for i in actual]}")
         return violations
 
-    components = mwe_component_ids_of(lsr.tokens)
+    components = mwe_components((t.proposed_id, t.split_token)
+                                for t in lsr.tokens)
     roots = [t for t in envelope.tokens if t.head_id == "0"]
     if len(roots) != 1:
         violations.append(
@@ -499,7 +478,8 @@ def apply_mwe_whitelist(envelope: LsrOutput,
             continue
         while True:
             integers = [t for t in tokens if not t.proposed_id.is_dotted]
-            covered = mwe_component_ids_of(tokens)
+            covered = mwe_components((t.proposed_id, t.split_token)
+                                     for t in tokens)
             span = _find_span(integers, parts, covered)
             if span is None:
                 break

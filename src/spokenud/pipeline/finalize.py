@@ -15,7 +15,7 @@ penalty is 0.25 per repair, capped at 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core import (
     NodeId,
@@ -23,6 +23,8 @@ from ..core import (
     Sentence,
     Token,
     canonical_deprel,
+    head_cycles,
+    mwe_components,
     validate_tree,
 )
 from ..ioformats import SheetRow
@@ -33,7 +35,6 @@ from .envelopes import (
     IrreconcilableEnvelopes,
     LsrOutput,
     SphOutput,
-    mwe_component_ids_of,
 )
 
 CONFIDENCE_WEIGHTS = {"core": 0.5, "lsr": 0.3, "sph": 0.2}
@@ -90,45 +91,6 @@ def _spoken_rule(label: str | None):
     return None, None, None
 
 
-def map_spoken_labels(core: CoreOutput, sph: SphOutput) -> tuple[CoreOutput, list]:
-    """Force the spoken-label conventions onto a Core envelope, logging every
-    override. Either the first-stage or the resolver envelope can supply the
-    labels (their token shapes agree)."""
-    labels = {t.proposed_id: (t.spoken_label, t.spoken_anchor) for t in sph.tokens}
-    roots = [t for t in core.tokens if t.head_id == "0"]
-    root_id = roots[0].proposed_id if len(roots) == 1 else None
-    log: list[str] = []
-    updated: list[CoreToken] = []
-    for token in core.tokens:
-        label, anchor = labels.get(token.proposed_id, (None, None))
-        upos, deprel, attachment = _spoken_rule(label)
-        new = token
-        if new.deprel and canonical_deprel(new.deprel) != new.deprel:
-            new = replace(new, deprel=canonical_deprel(new.deprel))
-        if deprel is not None and new.deprel != deprel:
-            log.append(f"override[{label}]: DEPREL of {new.proposed_id} "
-                       f"{token.deprel!r} -> {deprel!r}")
-            new = replace(new, deprel=deprel)
-        if upos is not None and new.upos != upos:
-            log.append(f"override[{label}]: UPOS of {new.proposed_id} "
-                       f"{new.upos!r} -> {upos!r}")
-            new = replace(new, upos=upos)
-        target = None
-        if attachment == "anchor" and anchor is not None:
-            target = anchor
-        elif attachment == "anchor_or_root":
-            target = anchor if anchor is not None else root_id
-        elif attachment == "root":
-            target = root_id
-        if (target is not None and target != new.proposed_id
-                and new.head_id != "0" and new.head_id != str(target)):
-            log.append(f"override[{label}]: HEAD of {new.proposed_id} "
-                       f"{new.head_id!r} -> {target}")
-            new = replace(new, head_id=str(target))
-        updated.append(new)
-    return replace(core, tokens=tuple(updated)), log
-
-
 def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
              config=None) -> FinalParse:
     """Merge the three stage envelopes into a validated final parse."""
@@ -140,7 +102,7 @@ def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
 
     rows = _build_rows(sph, lsr, core, log)
     _strip_component_annotations(rows, log)
-    dotted_of = _component_redirects(rows)
+    dotted_of = mwe_components((row.id, row.split_token) for row in rows)
     pending = _resolve_heads(rows, dotted_of, log)
     _enforce_spoken_labels(rows, pending, dotted_of, log)
     root = enforce_single_root_rows(rows, pending, log)
@@ -207,7 +169,8 @@ def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
     for node in sorted(set(core_by_id) - seen, key=lambda n: n._key()):
         log.append(f"merge[unknown-id]: ignored Core row {node} absent from "
                    f"the resolved token list")
-    components = mwe_component_ids_of(lsr.tokens)
+    components = mwe_components((t.proposed_id, t.split_token)
+                                for t in lsr.tokens)
     for row in rows:
         row.component = row.id in components
     return rows
@@ -226,20 +189,6 @@ def _strip_component_annotations(rows: list[_Row], log: list) -> None:
             row.deprel = ""
             row.head = ""
         row.form = ""
-
-
-def _component_redirects(rows: list[_Row]) -> dict:
-    """Component node -> covering dotted node, for head redirection."""
-    component_ids = {row.id for row in rows if row.component}
-    redirects: dict = {}
-    for row in rows:
-        if row.id.is_dotted:
-            width = row.split_token.count("_") + 1
-            for major in range(row.id.major, row.id.major + width):
-                node = NodeId(major)
-                if node in component_ids:
-                    redirects[node] = row.id
-    return redirects
 
 
 def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
@@ -431,8 +380,9 @@ def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
     """Reattach the lowest-confidence member of each head-link cycle to the
     root with DEPREL "dep" until the graph is acyclic. Terminates within one
     pass per node."""
+    present = {row.id for row in rows}
     for _ in range(len(rows) + 1):
-        cycles = _find_cycles(rows)
+        cycles = head_cycles(rows, present)
         if not cycles:
             return
         members = [row for row in rows if row.id in cycles[0]]
@@ -446,27 +396,6 @@ def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
                 f"cycle]: cycle {{{confidences}}}; reattached "
                 f"lowest-confidence node {victim.id} to root {root.id}")
     raise AssertionError("cycle repair did not terminate within the node budget")
-
-
-def _find_cycles(rows: list[_Row]) -> list[list[NodeId]]:
-    head_of = {row.id: row.head for row in rows if isinstance(row.head, NodeId)}
-    color: dict[NodeId, int] = {}
-    cycles: list[list[NodeId]] = []
-    for start in head_of:
-        if color.get(start):
-            continue
-        path = []
-        node = start
-        while node is not None and node in head_of and not color.get(node):
-            color[node] = 1
-            path.append(node)
-            node = head_of[node]
-        if node is not None and color.get(node) == 1:
-            cycles.append(sorted(path[path.index(node):], key=lambda n: n._key()))
-        for visited in path:
-            color[visited] = 2
-    cycles.sort(key=lambda c: (len(c), c[0]._key()))
-    return cycles
 
 
 def _to_sheet_rows(sentence_id: str, rows: list[_Row]) -> list[SheetRow]:

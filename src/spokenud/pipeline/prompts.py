@@ -27,10 +27,6 @@ def stage_schema(stage: str) -> dict:
     return json.loads(_read_data(f"schemas/{stage}_output.schema.json"))
 
 
-def final_parse_schema() -> dict:
-    return json.loads(_read_data("schemas/final_parse.schema.json"))
-
-
 def render_prompt(stage: str, input_json: str) -> tuple[str, str]:
     """System and user prompts for a stage, with the payload substituted."""
     if stage not in STAGES:

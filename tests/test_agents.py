@@ -4,11 +4,13 @@ import pytest
 
 from spokenud.backends import StubBackend
 from spokenud.config import load_config
+from spokenud.ioformats import DuplicateSentenceId
 from spokenud.pipeline import (
     SchemaViolation,
     SentenceFailure,
     parse_sentence,
     run_agent,
+    run_batch,
 )
 from spokenud.pipeline.envelopes import build_id_map
 
@@ -153,3 +155,19 @@ def test_whitelist_mwe_auto_combined(config):
     assert len(dotted) == 1
     assert dotted[0].split_token == "you_know"
     assert any("auto-combined" in line for line in lsr.enforcements)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_batch_rejects_duplicate_ids_before_any_backend_call(config, workers):
+    calls = []
+
+    def script(system, user, key):
+        calls.append(key)
+        return three_word_responses("d1")[key.split(".")[1]]
+
+    sentences = [input_sentence("d1", ["yo", "creo", "si"]),
+                 input_sentence("d2", ["yo", "creo", "si"]),
+                 input_sentence("d1", ["yo", "creo", "si"])]
+    with pytest.raises(DuplicateSentenceId, match="d1"):
+        run_batch(sentences, StubBackend(script=script), config, workers=workers)
+    assert calls == []

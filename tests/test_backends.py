@@ -12,7 +12,6 @@ from spokenud.backends import (
     ReplayMiss,
     ReplayStore,
     StubBackend,
-    complete,
     make_backend,
     request_fingerprint,
 )
@@ -53,8 +52,8 @@ def test_replay_hit_is_byte_identical(tmp_path):
     config = BackendConfig(mode="replay", replay_dir=str(tmp_path))
     fp = request_fingerprint("sys", "user", config.model_name)
     ReplayStore(tmp_path).save(fp[:16], fp, "response éxacte")
-    first = complete("sys", "user", config)
-    second = complete("sys", "user", config)
+    first = make_backend(config).complete("sys", "user")
+    second = make_backend(config).complete("sys", "user")
     assert first == second == "response éxacte"
 
 
@@ -132,7 +131,7 @@ def mock_server():
 def test_live_round_trip(mock_server, monkeypatch):
     monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
-    assert complete("sys", "ping", config) == "echo: ping"
+    assert make_backend(config).complete("sys", "ping") == "echo: ping"
     call = _MockCompletionHandler.calls[0]
     assert call["temperature"] == 0.0
     assert call["messages"][0]["role"] == "system"
@@ -143,7 +142,7 @@ def test_live_retries_on_transient_status(mock_server, monkeypatch):
     _MockCompletionHandler.status_queue = [429, 500]
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5,
                            backoff_base_s=0.01)
-    assert complete("sys", "ping", config) == "echo: ping"
+    assert make_backend(config).complete("sys", "ping") == "echo: ping"
     assert len(_MockCompletionHandler.calls) == 3
 
 
@@ -152,7 +151,7 @@ def test_live_fatal_status_raises(mock_server, monkeypatch):
     _MockCompletionHandler.status_queue = [401]
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
     with pytest.raises(HttpStatus) as err:
-        complete("sys", "ping", config)
+        make_backend(config).complete("sys", "ping")
     assert err.value.code == 401
 
 
@@ -160,10 +159,10 @@ def test_record_then_replay_round_trip(mock_server, monkeypatch, tmp_path):
     monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
     record = BackendConfig(mode="record", base_url=mock_server,
                            replay_dir=str(tmp_path), timeout_s=5)
-    recorded = complete("sys", "hola", record, key="s1.sph")
+    recorded = make_backend(record).complete("sys", "hola", key="s1.sph")
     replay = BackendConfig(mode="replay", replay_dir=str(tmp_path))
-    replayed = complete("sys", "hola", replay, key="s1.sph")
+    replayed = make_backend(replay).complete("sys", "hola", key="s1.sph")
     assert recorded == replayed == "echo: hola"
     # A different prompt misses loudly instead of reusing the stale file.
     with pytest.raises(ReplayMiss):
-        complete("sys", "adios", replay, key="s1.sph")
+        make_backend(replay).complete("sys", "adios", key="s1.sph")

@@ -81,6 +81,42 @@ def test_eval_mismatched_ids(tmp_path, capsys):
     assert "sentence ids do not match" in capsys.readouterr().err
 
 
+def _conllu(*sentence_ids):
+    blocks = []
+    for i, sid in enumerate(sentence_ids, start=1):
+        header = f"# sent_id = {sid}\n" if sid else ""
+        blocks.append(header + f"1\tw{i}\t_\tNOUN\t_\t_\t0\troot\t_\t_\n")
+    return "\n".join(blocks)
+
+
+def test_eval_repeated_id_exits_one_and_names_file_and_id(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    system = tmp_path / "sys.conllu"
+    gold.write_text(_conllu("a1", "b2"), encoding="utf-8")
+    system.write_text(_conllu("a1", "a1"), encoding="utf-8")
+    assert run(["eval", "--gold", gold, "--system", system,
+                "--out", tmp_path / "o"]) == 1
+    captured = capsys.readouterr()
+    assert f"duplicate sentence id: a1 in {system}" in captured.err
+    assert "evaluated" not in captured.out
+
+
+def test_eval_two_unnamed_sentences_exit_one(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(_conllu("", ""), encoding="utf-8")
+    assert run(["eval", "--gold", gold, "--system", gold,
+                "--out", tmp_path / "o"]) == 1
+    assert f"duplicate sentence id: <unnamed> in {gold}" in capsys.readouterr().err
+
+
+def test_eval_one_unnamed_sentence_still_works(tmp_path, capsys):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(_conllu(""), encoding="utf-8")
+    assert run(["eval", "--gold", gold, "--system", gold,
+                "--out", tmp_path / "o"]) == 0
+    assert "evaluated 1 sentences" in capsys.readouterr().out
+
+
 def test_eval_jsonl_numbers_match_tables(tmp_path):
     out = tmp_path / "eval"
     run(["eval", "--gold", GOLD, "--system", GOLD, "--out", out])

@@ -8,7 +8,6 @@ from spokenud.pipeline import (
     IrreconcilableEnvelopes,
     finalize,
     induced_sentence,
-    map_spoken_labels,
 )
 from spokenud.pipeline.envelopes import CoreToken
 
@@ -215,50 +214,60 @@ def test_head_pointing_into_mwe_span_redirected():
     assert validate_tree(induced_sentence(parse)).ok
 
 
-# --- map_spoken_labels -------------------------------------------------------
+# --- spoken-label policy -----------------------------------------------------
+
+def _overrides(parse):
+    return [line for line in parse.adjudication_log if line.startswith("override[")]
+
 
 def test_filler_override_to_intj_discourse():
-    sph, _ = sph_lsr("f1", ["uh", "go"], labels={1: "filler"})
+    sph, lsr = sph_lsr("f1", ["uh", "go"], labels={1: "filler"})
     core = core_from("f1", [
         ("1", "NOUN", "2", "obj"),
         ("2", "VERB", "0", "root"),
     ], forms=["uh", "go"])
-    mapped, log = map_spoken_labels(core, sph)
-    assert mapped.tokens[0].upos == "INTJ"
-    assert mapped.tokens[0].deprel == "discourse"
-    assert mapped.tokens[0].head_id == "2"
-    assert len(log) >= 2
+    parse = finalize(sph, lsr, core)
+    assert parse.rows[0].upos == "INTJ"
+    assert parse.rows[0].deprel == "discourse"
+    assert parse.rows[0].head_id == "2"
+    assert _overrides(parse) == [
+        "override[filler]: DEPREL of 1 'obj' -> 'discourse'",
+        "override[filler]: UPOS of 1 'NOUN' -> 'INTJ'",
+    ]
 
 
 def test_reparandum_anchor_forces_head():
-    sph, _ = sph_lsr("f2", ["I", "I", "go"], labels={1: "reparandum"},
-                     anchors={1: 2})
+    sph, lsr = sph_lsr("f2", ["I", "I", "go"], labels={1: "reparandum"},
+                       anchors={1: 2})
     core = core_from("f2", [
         ("1", "PRON", "3", "reparandum"),
         ("2", "PRON", "3", "nsubj"),
         ("3", "VERB", "0", "root"),
     ], forms=["I", "I", "go"])
-    mapped, log = map_spoken_labels(core, sph)
-    assert mapped.tokens[0].head_id == "2"
-    assert any("HEAD" in line for line in log)
+    parse = finalize(sph, lsr, core)
+    assert parse.rows[0].head_id == "2"
+    assert _overrides(parse) == [
+        "override[reparandum]: HEAD of 1 forced to spoken anchor 2"]
 
 
 def test_conformant_labels_unchanged():
-    sph, _ = sph_lsr("f3", ["uh", "go"], labels={1: "filler"}, anchors={1: 2})
+    sph, lsr = sph_lsr("f3", ["uh", "go"], labels={1: "filler"}, anchors={1: 2})
     core = core_from("f3", [
         ("1", "INTJ", "2", "discourse"),
         ("2", "VERB", "0", "root"),
     ], forms=["uh", "go"])
-    mapped, log = map_spoken_labels(core, sph)
-    assert mapped == core
-    assert log == []
+    parse = finalize(sph, lsr, core)
+    assert [(r.upos, r.head_id, r.deprel) for r in parse.rows] == [
+        ("INTJ", "2", "discourse"), ("VERB", "0", "root")]
+    assert parse.adjudication_log == ()
 
 
 def test_rep_alias_normalized():
-    sph, _ = sph_lsr("f4", ["a", "b"], labels={1: "reparandum"}, anchors={1: 2})
+    sph, lsr = sph_lsr("f4", ["a", "b"], labels={1: "reparandum"}, anchors={1: 2})
     core = core_from("f4", [
         ("1", "PRON", "2", "rep"),
         ("2", "VERB", "0", "root"),
     ], forms=["a", "b"])
-    mapped, log = map_spoken_labels(core, sph)
-    assert mapped.tokens[0].deprel == "reparandum"
+    parse = finalize(sph, lsr, core)
+    assert parse.rows[0].deprel == "reparandum"
+    assert _overrides(parse) == []

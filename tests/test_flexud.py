@@ -26,6 +26,7 @@ from spokenud.flexud import (
     flexud_report,
     normalize_form,
 )
+from spokenud.flexud import _gold_subtrees
 
 from gen import random_sentence
 
@@ -307,6 +308,69 @@ def test_contribution_bands_enforced():
         PenaltySchedule(missing_dotted_mwe=0.7)
     with pytest.raises(ValueError):
         PenaltySchedule(minor_mismatch=0.2)
+
+
+def _gold_subtrees_recursive(gold):
+    """The former recursive implementation, kept as the differential oracle."""
+    children = {t.id: [] for t in gold.tokens}
+    for token in gold.tokens:
+        if isinstance(token.head, NodeId) and token.head in children:
+            children[token.head].append(token.id)
+    subtree = {}
+
+    def collect(node, seen):
+        if node in subtree:
+            return subtree[node]
+        result = {node}
+        for child in children.get(node, ()):
+            if child not in seen:
+                result |= collect(child, seen | {node})
+        subtree[node] = result
+        return result
+
+    for token in gold.tokens:
+        collect(token.id, frozenset())
+    return subtree
+
+
+def test_gold_subtrees_match_recursive_reference_on_random_head_graphs():
+    rng = random.Random(17)
+    for case in range(2000):
+        n = rng.randint(1, 12)
+        ids = [NodeId(i) for i in range(1, n + 1)]
+        if n >= 3 and rng.random() < 0.3:
+            ids.append(NodeId(rng.randint(1, n - 1), 1))
+        tokens = []
+        for node in ids:
+            roll = rng.random()
+            if roll < 0.1:
+                head = ROOT
+            elif roll < 0.15:
+                head = None
+            elif roll < 0.2:
+                head = NodeId(n + 5)  # dangling
+            else:
+                head = rng.choice([i for i in ids if i != node] or [ROOT])
+            tokens.append(Token(id=node, form="w", head=head))
+        rng.shuffle(tokens)  # walk order must not matter for the comparison
+        gold = Sentence(f"g{case}", tuple(tokens))
+        expected = _gold_subtrees_recursive(gold)
+        assert list(_gold_subtrees(gold).items()) == list(expected.items()), case
+
+
+def test_detect_severity_survives_a_1200_token_chain():
+    n = 1200
+    tokens = tuple(
+        Token(id=NodeId(i), form=f"w{i}", upos="NOUN",
+              head=ROOT if i == 1 else NodeId(i - 1),
+              deprel="root" if i == 1 else "dep",
+              spoken_label="reparandum" if i == n else None)
+        for i in range(1, n + 1))
+    gold = Sentence("deep", tokens)
+    alignment = Alignment(tuple(AlignmentLink((t.id,), (t.id,), "one_one")
+                                for t in tokens))
+    report = detect_severity(gold, gold, alignment)
+    assert report.issues == () and report.P == 0.0
 
 
 # --- final aggregation --------------------------------------------------------------
