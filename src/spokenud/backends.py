@@ -88,16 +88,28 @@ class ReplayStore:
         self.directory = Path(directory)
 
     def path_for(self, key: str) -> Path:
+        """The file of ``key``; a key that could name a path outside the
+        directory, or a hidden file, is refused."""
+        if not key or key[0] == "." or "/" in key or "\\" in key:
+            raise BackendError(f"replay key {key!r} is not a plain file name")
         return self.directory / f"{key}.json"
 
     def save(self, key: str, fingerprint: str, raw_response: str) -> Path:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        """Write the record to a temporary file, then rename it into place,
+        so an interrupted run never leaves a truncated record."""
         path = self.path_for(key)
-        path.write_text(json.dumps({
-            "request_hash": fingerprint,
-            "raw_response": raw_response,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        self.directory.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(json.dumps({
+                "request_hash": fingerprint,
+                "raw_response": raw_response,
+                "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            }, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return path
 
     def load(self, key: str, fingerprint: str) -> str:

@@ -515,7 +515,7 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
         if issue.code == IssueCode.CYCLE:
             add("MultipleRootsOrCycle", issue.node_ids, issue.message)
 
-    descendants = _gold_subtrees(gold)
+    descendants = None  # built on the first reparandum that needs it
     gold_by_id = gold.token_index()
     for token in annotatable_tokens(gold):
         is_reparandum = (token.spoken_label == "reparandum"
@@ -528,6 +528,8 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
         resolved = resolve_head(system_by_id[partner_id].head, system_to_gold)
         if resolved is None:
             continue
+        if descendants is None:
+            descendants = _gold_subtrees(gold)
         subtree = descendants.get(token.head, {token.head})
         if resolved is ROOT or resolved not in subtree:
             add("ReparandumMisattached", (token.id,),

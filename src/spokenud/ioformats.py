@@ -467,7 +467,11 @@ def load_manifest(path) -> BenchmarkManifest:
                 declared = {Category.from_label(k): v
                             for k, v in obj["category_counts"].items()}
                 continue
-            sid = obj["sentence_id"]
+            sid = obj.get("sentence_id")
+            if not isinstance(sid, str) or not sid:
+                raise SpokenUdError(
+                    f"{path}: line {line_no}: sentence_id must be a non-empty "
+                    f"string, found {sid!r}")
             if sid in seen:
                 raise DuplicateSentenceId(sid)
             seen.add(sid)

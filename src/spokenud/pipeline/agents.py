@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import jsonschema
 
@@ -32,6 +33,32 @@ class SchemaViolation(SpokenUdError):
         summary = "; ".join(self.violations[:5])
         super().__init__(
             f"{stage.upper()} output invalid after {attempts} attempts: {summary}")
+
+
+_validators: dict = {}
+_validators_lock = threading.Lock()
+
+
+def _validator(stage: str):
+    """The stage's schema validator, built once per process. The schema is
+    checked against its metaschema on first use, so a broken shipped schema
+    still fails loudly."""
+    with _validators_lock:
+        if stage not in _validators:
+            schema = stage_schema(stage)
+            cls = jsonschema.validators.validator_for(schema)
+            cls.check_schema(schema)
+            _validators[stage] = cls(schema)
+        return _validators[stage]
+
+
+def _schema_violations(stage: str, obj: dict) -> list[str]:
+    """The error ``jsonschema.validate`` would raise, as a violation line."""
+    err = jsonschema.exceptions.best_match(_validator(stage).iter_errors(obj))
+    if err is None:
+        return []
+    path = "/".join(str(p) for p in err.absolute_path)
+    return [f"schema: {err.message} at {path or '<root>'}"]
 
 
 def _single_json_object(raw: str) -> tuple[dict | None, list[str]]:
@@ -64,7 +91,6 @@ def run_agent(stage: str, upstream, backend, config, *,
     payload_text = envelope_to_json_text(payload)
     system_prompt, user_prompt = render_prompt(stage, payload_text)
     budget = config.agent_retries
-    schema = stage_schema(stage)
 
     violations: list[str] = []
     attempts = 0
@@ -76,12 +102,8 @@ def run_agent(stage: str, upstream, backend, config, *,
         raw = backend.complete(system_prompt, prompt, key=key)
         obj, violations = _single_json_object(raw)
         if obj is not None:
-            try:
-                jsonschema.validate(obj, schema)
-            except jsonschema.ValidationError as err:
-                path = "/".join(str(p) for p in err.absolute_path)
-                violations = [f"schema: {err.message} at {path or '<root>'}"]
-            else:
+            violations = _schema_violations(stage, obj)
+            if not violations:
                 envelope, violations = _parse_and_check(
                     stage, obj, upstream, input_sentence, config)
                 if not violations:

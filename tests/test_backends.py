@@ -48,6 +48,27 @@ def test_replay_miss_on_stale_hash(tmp_path):
         store.load("x", "hash2")
 
 
+@pytest.mark.parametrize("key", ["../x.sph", "a/b.sph", "a\\b.sph", ".x.sph",
+                                 "/abs.sph", ""])
+def test_replay_store_refuses_keys_outside_its_directory(tmp_path, key):
+    store = ReplayStore(tmp_path / "replay")
+    with pytest.raises(BackendError, match="is not a plain file name") as err:
+        store.save(key, "hash", "response")
+    assert repr(key) in str(err.value)
+    with pytest.raises(BackendError, match="is not a plain file name"):
+        store.load(key, "hash")
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_replay_store_save_replaces_atomically(tmp_path):
+    store = ReplayStore(tmp_path)
+    store.save("x.sph", "hash1", "first")
+    path = store.save("x.sph", "hash2", "second")
+    assert store.load("x.sph", "hash2") == "second"
+    assert json.loads(path.read_text("utf-8"))["raw_response"] == "second"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.sph.json"]
+
+
 def test_replay_hit_is_byte_identical(tmp_path):
     config = BackendConfig(mode="replay", replay_dir=str(tmp_path))
     fp = request_fingerprint("sys", "user", config.model_name)

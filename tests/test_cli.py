@@ -231,3 +231,38 @@ def test_backend_misconfiguration_exit_code(tmp_path, manifest_path, capsys):
     assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
                 "--backend-mode", "replay"]) == 3
     assert "backend error" in capsys.readouterr().err
+
+
+def _manifest_with_ids(tmp_path, manifest_path, sids):
+    sids = iter(sids)
+    out = []
+    for line in Path(manifest_path).read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        if "sentence_id" in obj:
+            obj["sentence_id"] = next(sids)
+        out.append(json.dumps(obj, ensure_ascii=False))
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return path
+
+
+def test_parse_empty_manifest_id_exits_one_and_names_line(
+        tmp_path, manifest_path, capsys):
+    path = _manifest_with_ids(tmp_path, manifest_path, ["del1", "", "fig2"])
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", path, "--out", out,
+                "--backend-mode", "stub"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: sentence_id must be a non-empty string, "
+        f"found ''\n")
+    assert not out.exists()
+
+
+def test_parse_replay_key_outside_replay_dir_fails_the_sentence(
+        tmp_path, replay_dir, manifest_path, capsys):
+    path = _manifest_with_ids(tmp_path, manifest_path,
+                              ["del1", "../disc1", "fig2"])
+    assert run(["parse", "--manifest", path, "--out", tmp_path / "o",
+                "--backend-mode", "replay", "--replay-dir", replay_dir]) == 1
+    assert ("FAILED ../disc1 at SPH: replay key '../disc1.sph' is not a plain "
+            "file name") in capsys.readouterr().out

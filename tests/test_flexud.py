@@ -26,6 +26,7 @@ from spokenud.flexud import (
     flexud_report,
     normalize_form,
 )
+from spokenud import flexud
 from spokenud.flexud import _gold_subtrees
 
 from gen import random_sentence
@@ -301,6 +302,28 @@ def test_reparandum_misattached():
     alignment = align_tokens(gold, system)
     report = detect_severity(gold, system, alignment)
     assert any(i.issue_class == "ReparandumMisattached" for i in report.issues)
+
+
+def test_gold_subtrees_built_only_for_a_reparandum_with_a_partner(monkeypatch):
+    calls = []
+
+    def counting(gold):
+        calls.append(gold.sentence_id)
+        return _gold_subtrees(gold)
+
+    monkeypatch.setattr(flexud, "_gold_subtrees", counting)
+    plain = simple(["hola", "que", "tal"])
+    detect_severity(plain, plain, align_tokens(plain, plain))
+    assert calls == []
+    gold = Sentence("r", (
+        Token(id=NodeId(1), form="I", upos="PRON", head=NodeId(3),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(2), form="I", upos="PRON", head=NodeId(3),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(3), form="go", upos="VERB", head=ROOT, deprel="root"),
+    ))
+    detect_severity(gold, gold, align_tokens(gold, gold))
+    assert calls == ["r"]
 
 
 def test_contribution_bands_enforced():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from spokenud.core import ROOT, Category, NodeId, Token, UnknownCategory
+from spokenud.core import ROOT, Category, NodeId, SpokenUdError, Token, UnknownCategory
 from spokenud.ioformats import (
     CategoryCountMismatch,
     DuplicateSentenceId,
@@ -202,6 +202,27 @@ def test_load_manifest_duplicate_id(tmp_path):
     path.write_text(manifest_line("x") + "\n" + manifest_line("x") + "\n",
                     encoding="utf-8")
     with pytest.raises(DuplicateSentenceId):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("sids, line_no, bad", [
+    ([""], 1, ""), (["a", "", ""], 2, ""), (["a", 7], 2, 7), (["a", None], 2, None)])
+def test_load_manifest_rejects_empty_or_non_string_id(tmp_path, sids, line_no, bad):
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(manifest_line(sid) for sid in sids) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (f"{path}: line {line_no}: sentence_id must be "
+                              f"a non-empty string, found {bad!r}")
+
+
+def test_load_manifest_rejects_missing_id(tmp_path):
+    path = tmp_path / "m.jsonl"
+    obj = json.loads(manifest_line("x"))
+    del obj["sentence_id"]
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(SpokenUdError, match="line 1: sentence_id must be"):
         load_manifest(path)
 
 
