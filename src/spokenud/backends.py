@@ -116,7 +116,10 @@ class ReplayStore:
         path = self.path_for(key)
         if not path.exists():
             raise ReplayMiss(key, fingerprint)
-        record = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise BackendError(f"corrupt replay record {path}: {err}") from err
         if record.get("request_hash") != fingerprint:
             raise ReplayMiss(key, fingerprint)
         return record["raw_response"]

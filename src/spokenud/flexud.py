@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 from .core import (
     Category,
     NodeId,
-    ROOT,
     Sentence,
     SpokenUdError,
     annotatable_tokens,
@@ -155,23 +154,12 @@ def align_tokens(gold: Sentence, system: Sentence,
     g_norm = [normalize_form(t.form, table) for t in gold_ints]
     s_norm = [normalize_form(t.form, table) for t in system_ints]
 
-    steps = _align_integer_runs(g_norm, s_norm)
-
     links: list[AlignmentLink] = []
     gi = si = 0
-    for action, g_run, s_run in steps:
-        g_ids = tuple(t.id for t in gold_ints[gi:gi + g_run])
-        s_ids = tuple(t.id for t in system_ints[si:si + s_run])
-        if action == "match":
-            links.append(AlignmentLink(g_ids, s_ids, "one_one"))
-        elif action == "gold_split":
-            links.append(AlignmentLink(g_ids, s_ids, "gold_split"))
-        elif action == "system_split":
-            links.append(AlignmentLink(g_ids, s_ids, "system_split"))
-        elif action == "skip_gold":
-            links.append(AlignmentLink(g_ids, (), "unaligned_gold"))
-        else:
-            links.append(AlignmentLink((), s_ids, "unaligned_system"))
+    for action, g_run, s_run in _align_integer_runs(g_norm, s_norm):
+        links.append(AlignmentLink(tuple(t.id for t in gold_ints[gi:gi + g_run]),
+                                   tuple(t.id for t in system_ints[si:si + s_run]),
+                                   _LINK_KIND.get(action, action)))
         gi += g_run
         si += s_run
 
@@ -179,59 +167,85 @@ def align_tokens(gold: Sentence, system: Sentence,
     return Alignment(tuple(_ordered(links, gold, system)))
 
 
-def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
-    """Suffix-cost DP over the two normalized form sequences.
+# The steps the DP chooses between, as (action, gold_run, system_run).
+_MATCH, _SKIP_GOLD, _SKIP_SYSTEM = ("match", 1, 1), ("skip_gold", 1, 0), ("skip_system", 0, 1)
+_SYSTEM_SPLIT = {k: ("system_split", 1, k) for k in range(2, MAX_RUN + 1)}
+_GOLD_SPLIT = {k: ("gold_split", k, 1) for k in range(2, MAX_RUN + 1)}
+_LINK_KIND = {"match": "one_one", "skip_gold": "unaligned_gold",
+              "skip_system": "unaligned_system"}
 
-    Returns the chosen steps as (action, gold_run, system_run) triples.
-    Transition preference at equal cost: exact match, then the shorter of
-    split/merge runs, then skipping gold, then skipping system.
+
+def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
+    """Minimum-cost steps from one normalized form sequence to the other, as
+    (action, gold_run, system_run) triples.
+
+    A match costs 0; a skip, or a split or merge of up to MAX_RUN non-empty
+    forms, costs 1. At equal suffix cost the DP prefers an exact match, then
+    the shorter split/merge run, then skipping gold, then skipping system.
+    Only the cells with |i - j| <= w are computed and kept. One unit of cost
+    moves a path at most MAX_RUN - 1 diagonals, so once the banded cost d
+    satisfies d * (MAX_RUN - 1) <= w, every path costing at most d, each
+    tied optimum included, lies inside the band, and the steps are those of
+    the full matrix. Until then w doubles.
     """
     m, n = len(g_norm), len(s_norm)
-    INF = 10 ** 9
-    cost = [[INF] * (n + 1) for _ in range(m + 1)]
-    choice: list[list[tuple[str, int, int] | None]] = \
-        [[None] * (n + 1) for _ in range(m + 1)]
-    cost[m][n] = 0
-    for i in range(m, -1, -1):
-        for j in range(n, -1, -1):
-            if i == m and j == n:
-                continue
-            options: list[tuple[int, int, str, int, int]] = []
-            if i < m and j < n and g_norm[i] == s_norm[j]:
-                options.append((cost[i + 1][j + 1], 0, "match", 1, 1))
-            rank = 1
-            for k in range(2, MAX_RUN + 1):
-                if j + k <= n and g_norm[i:i + 1] != [""] and all(s_norm[j:j + k]):
-                    if i < m and g_norm[i] == "".join(s_norm[j:j + k]):
-                        options.append((cost[i + 1][j + k] + 1, rank,
-                                        "system_split", 1, k))
-                rank += 1
-                if i + k <= m and s_norm[j:j + 1] != [""] and all(g_norm[i:i + k]):
-                    if j < n and "".join(g_norm[i:i + k]) == s_norm[j]:
-                        options.append((cost[i + k][j + 1] + 1, rank,
-                                        "gold_split", k, 1))
-                rank += 1
-            if i < m:
-                options.append((cost[i + 1][j] + 1, 98, "skip_gold", 1, 0))
-            if j < n:
-                options.append((cost[i][j + 1] + 1, 99, "skip_system", 0, 1))
-            best = min(options, key=lambda o: (o[0], o[1]))
-            cost[i][j] = best[0]
-            choice[i][j] = best[2:]
-    steps = []
-    i = j = 0
-    while (i, j) != (m, n):
-        action, g_run, s_run = choice[i][j]
-        steps.append((action, g_run, s_run))
-        i += g_run
-        j += s_run
+    # One sentinel ends both sequences: no form matches it, and (m, n)
+    # matches it into a virtual row m + 1 at no cost.
+    g_norm, s_norm = g_norm + [None], s_norm + [None]
+    g_runs, s_runs = _run_lengths(g_norm), _run_lengths(s_norm)
+    never = m + n + 1  # more than any path costs
+    w = (MAX_RUN - 1) * max(1, abs(m - n))
+    while True:
+        # Row i keeps cell (i, j) at index j - i + offset; the padding
+        # around the band costs `never`.
+        offset = w + MAX_RUN - 1
+        costs = [[never] * (2 * offset + 1) for _ in range(m + 2)]
+        costs[m + 1][n - m + offset] = 0
+        choice = [[None] * (2 * offset + 1) for _ in range(m + 1)]
+        for i in range(m, -1, -1):
+            row, below, chosen = costs[i], costs[i + 1], choice[i]
+            g, g_run = g_norm[i], g_runs[i]
+            for j in range(min(n, i + w), max(0, i - w) - 1, -1):
+                x = j - i + offset
+                s = s_norm[j]
+                # From the highest rank down, so the lower rank takes a tie.
+                # No form both splits into and merges from the other side.
+                best, step = row[x + 1] + 1, _SKIP_SYSTEM
+                if below[x - 1] + 1 <= best:
+                    best, step = below[x - 1] + 1, _SKIP_GOLD
+                k = s_runs[j].get(g)
+                if k and below[x + k - 1] + 1 <= best:
+                    best, step = below[x + k - 1] + 1, _SYSTEM_SPLIT[k]
+                k = g_run.get(s)
+                if k and costs[i + k][x - k + 1] + 1 <= best:
+                    best, step = costs[i + k][x - k + 1] + 1, _GOLD_SPLIT[k]
+                if g == s and below[x] <= best:
+                    best, step = below[x], _MATCH
+                row[x] = best
+                chosen[x] = step
+        if costs[0][offset] * (MAX_RUN - 1) <= w or w >= max(m, n):
+            break
+        w *= 2
+    steps, i, j = [], 0, 0
+    while i < m or j < n:
+        steps.append(choice[i][j - i + offset])
+        i += steps[-1][1]
+        j += steps[-1][2]
     return steps
+
+
+def _run_lengths(forms: list) -> list[dict[str, int]]:
+    """Per position p, the concatenation of forms[p:p + k] for k = 2..MAX_RUN
+    mapped to k, over runs of non-empty forms. Longer runs make longer
+    strings, so a form equals at most one of them."""
+    return [{"".join(forms[p:p + k]): k for k in range(2, MAX_RUN + 1)
+             if p + k <= len(forms) and all(forms[p:p + k])}
+            for p in range(len(forms))]
 
 
 def _attach_dotted_nodes(gold: Sentence, system: Sentence,
                          links: list[AlignmentLink]) -> list[AlignmentLink]:
-    one_one = {l.gold_ids[0]: l.system_ids[0]
-               for l in links if l.kind == "one_one"}
+    one_one = Alignment(tuple(links)).one_one()
     gold_dotted = [t for t in gold.tokens if t.id.is_dotted]
     system_dotted = [t for t in system.tokens if t.id.is_dotted]
     gold_present = {t.id for t in gold.tokens}
@@ -419,7 +433,6 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
 
 CATASTROPHIC_CLASSES = ("MissingDottedMwe", "ReparandumMisattached",
                         "InvalidHeadPersisting", "MultipleRootsOrCycle")
-MINOR_CLASSES = ("TolerantUposSubstitution", "NearMissDeprel", "MinorMismatch")
 
 
 @dataclass(frozen=True)
@@ -515,7 +528,6 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
         if issue.code == IssueCode.CYCLE:
             add("MultipleRootsOrCycle", issue.node_ids, issue.message)
 
-    descendants = None  # built on the first reparandum that needs it
     gold_by_id = gold.token_index()
     for token in annotatable_tokens(gold):
         is_reparandum = (token.spoken_label == "reparandum"
@@ -526,12 +538,7 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
         if partner_id is None:
             continue
         resolved = resolve_head(system_by_id[partner_id].head, system_to_gold)
-        if resolved is None:
-            continue
-        if descendants is None:
-            descendants = _gold_subtrees(gold)
-        subtree = descendants.get(token.head, {token.head})
-        if resolved is ROOT or resolved not in subtree:
+        if resolved is not None and not _in_gold_subtree(resolved, token.head, gold_by_id):
             add("ReparandumMisattached", (token.id,),
                 f"reparandum {token.id} attached outside the subtree of {token.head}")
 
@@ -560,38 +567,19 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
     return SeverityReport(tuple(issues), float(P))
 
 
-def _gold_subtrees(gold: Sentence) -> dict[NodeId, set[NodeId]]:
-    """Node -> itself plus its descendants, by an iterative depth-first walk
-    that never re-enters a node on the current path. In a cyclic gold tree
-    the sets of cycle members depend on where the walk entered the cycle."""
-    children: dict[NodeId, list[NodeId]] = {t.id: [] for t in gold.tokens}
-    for token in gold.tokens:
-        if isinstance(token.head, NodeId) and token.head in children:
-            children[token.head].append(token.id)
-    subtree: dict[NodeId, set[NodeId]] = {}
-    for token in gold.tokens:
-        if token.id in subtree:
-            continue
-        on_path = {token.id}
-        stack = [(token.id, iter(children[token.id]), {token.id})]
-        while stack:
-            node, pending, result = stack[-1]
-            for child in pending:
-                if child in on_path:
-                    continue
-                if child in subtree:
-                    result.update(subtree[child])
-                    continue
-                on_path.add(child)
-                stack.append((child, iter(children[child]), {child}))
-                break
-            else:
-                stack.pop()
-                on_path.discard(node)
-                subtree[node] = result
-                if stack:
-                    stack[-1][2].update(result)
-    return subtree
+def _in_gold_subtree(node: NodeId, head: NodeId, gold_by_id: dict) -> bool:
+    """Whether ``node`` is ``head`` or lies below it: the walk up the gold
+    head chain from ``node`` meets ``head`` before it leaves the gold tokens
+    (ROOT is never below a node) or revisits a node. A walk that has not
+    met ``head`` after one step per gold token is going round a cycle
+    without it."""
+    for _ in range(len(gold_by_id)):
+        if node not in gold_by_id:
+            return False
+        if node == head:
+            return True
+        node = gold_by_id[node].head
+    return False
 
 
 # --- aggregation -----------------------------------------------------------------

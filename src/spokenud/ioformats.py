@@ -462,7 +462,13 @@ def load_manifest(path) -> BenchmarkManifest:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            where = f"{path}: line {line_no}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise SpokenUdError(f"{where}: not valid JSON: {err}") from err
+            if not isinstance(obj, dict):
+                raise SpokenUdError(f"{where}: expected a JSON object")
             if line_no == 1 and "category_counts" in obj:
                 declared = {Category.from_label(k): v
                             for k, v in obj["category_counts"].items()}
@@ -470,11 +476,13 @@ def load_manifest(path) -> BenchmarkManifest:
             sid = obj.get("sentence_id")
             if not isinstance(sid, str) or not sid:
                 raise SpokenUdError(
-                    f"{path}: line {line_no}: sentence_id must be a non-empty "
-                    f"string, found {sid!r}")
+                    f"{where}: sentence_id must be a non-empty string, found {sid!r}")
             if sid in seen:
                 raise DuplicateSentenceId(sid)
             seen.add(sid)
+            for key in ("category", "tokens", "gold_conllu"):
+                if key not in obj:
+                    raise SpokenUdError(f"{where}: missing key {key!r}")
             category = Category.from_label(obj["category"])
             tokens = tuple((t["form"], t.get("lang_tag", "unknown"))
                            for t in obj["tokens"])

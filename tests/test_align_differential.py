@@ -1,0 +1,181 @@
+"""The banded alignment DP against the full-matrix DP it replaced.
+
+Both must choose the same steps, and through them give the same alignment,
+component scores, severity report and final score.
+"""
+
+import random
+import tracemalloc
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spokenud import flexud
+from spokenud.core import ROOT, NodeId, Sentence, Token
+from spokenud.flexud import (
+    align_tokens,
+    component_scores,
+    detect_severity,
+    flexud_final,
+    normalize_form,
+    DEFAULT_WEIGHTS,
+)
+
+from align_reference import align_integer_runs as reference_steps
+
+# A small alphabet, so forms repeat and ties are common. "_" and "'"
+# normalize to the empty form; "don't"/"do"/"not" and "del"/"de"/"el" split
+# and merge through the contraction rules, "ab"/"a"/"b" through plain
+# concatenation.
+FORMS = ["a", "b", "ab", "ba", "aba", "bab", "A", "a'b", "_", "'",
+         "do", "not", "don't", "de", "el", "del"]
+UPOS = ["NOUN", "VERB", "AUX", "PRON", None]
+DEPRELS = ["dep", "obj", "obl", "reparandum", "root", None]
+
+
+def norms(sentence):
+    return [normalize_form(t.form) for t in sentence.tokens if not t.id.is_dotted]
+
+
+@st.composite
+def sentences(draw, sid, forms):
+    """Integer tokens with the given forms, at most one dotted MWE node over
+    two or three of them, and random heads, tags and relations (cycles,
+    dangling heads and reparanda included)."""
+    n = len(forms)
+    rows = [(NodeId(i), form) for i, form in enumerate(forms, 1)]
+    if n >= 2 and draw(st.booleans()):
+        start = draw(st.integers(1, n - 1))
+        width = draw(st.integers(2, min(3, n - start + 1)))
+        mwe = "_".join(forms[start - 1:start - 1 + width])
+        rows.insert(start, (NodeId(start, 1), mwe))
+    ids = [node for node, _ in rows]
+    tokens = []
+    for node, form in rows:
+        head = draw(st.sampled_from(
+            [ROOT, None, NodeId(n + 3)] + [i for i in ids if i != node]))
+        tokens.append(Token(
+            id=node, form=form, head=head,
+            upos=draw(st.sampled_from(UPOS)),
+            deprel=draw(st.sampled_from(DEPRELS)),
+            spoken_label=draw(st.sampled_from([None, None, "reparandum"]))))
+    return Sentence(sid, tuple(tokens))
+
+
+EDIT = st.tuples(st.sampled_from(["split", "merge", "drop", "insert"]),
+                 st.integers(0, 30), st.sampled_from(FORMS))
+
+
+def edited(forms, edits):
+    forms = list(forms)
+    for kind, at, new in edits:
+        if kind == "insert":
+            forms.insert(at % (len(forms) + 1), new)
+            continue
+        if not forms:
+            continue
+        p = at % len(forms)
+        if kind == "split" and len(forms[p]) > 1:
+            cut = 1 + at % (len(forms[p]) - 1)
+            forms[p:p + 1] = [forms[p][:cut], forms[p][cut:]]
+        elif kind == "merge" and p + 1 < len(forms):
+            forms[p:p + 2] = [forms[p] + forms[p + 1]]
+        elif kind == "drop":
+            del forms[p]
+    return forms
+
+
+@st.composite
+def pairs(draw):
+    # Not empty: component_scores divides by zero when both sentences are
+    # empty, a defect outside the alignment.
+    gold_forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=14))
+    if draw(st.booleans()):
+        system_forms = draw(st.lists(st.sampled_from(FORMS), max_size=14))
+    else:
+        system_forms = edited(gold_forms, draw(st.lists(EDIT, max_size=6)))
+    return (draw(sentences("g", gold_forms)),
+            draw(sentences("s", system_forms)))
+
+
+def evaluation(gold, system):
+    alignment = align_tokens(gold, system)
+    components = component_scores(gold, system, alignment)
+    severity = detect_severity(gold, system, alignment)
+    final = flexud_final(components, DEFAULT_WEIGHTS, severity).final
+    return alignment, components, severity, final
+
+
+def assert_same_as_reference(gold, system):
+    g, s = norms(gold), norms(system)
+    assert flexud._align_integer_runs(g, s) == reference_steps(g, s)
+    banded = evaluation(gold, system)
+    with mock.patch.object(flexud, "_align_integer_runs", reference_steps):
+        assert banded == evaluation(gold, system)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(pairs())
+def test_banded_alignment_equals_full_matrix_reference(pair):
+    assert_same_as_reference(*pair)
+
+
+def plain(forms, sid="p"):
+    return Sentence(sid, tuple(
+        Token(id=NodeId(i), form=form, upos="NOUN",
+              head=ROOT if i == 1 else NodeId(1),
+              deprel="root" if i == 1 else "dep")
+        for i, form in enumerate(forms, 1)))
+
+
+def test_a_split_may_beat_the_leading_exact_match():
+    # Trimming the common prefix would match the two leading "abab" forms.
+    gold, system = ["abab", "b"], ["abab", "a", "b", "ab", "b"]
+    assert flexud._align_integer_runs(gold, system) == [
+        ("skip_system", 0, 1), ("system_split", 1, 3), ("match", 1, 1)]
+    assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
+
+
+def test_band_doubles_when_the_cost_is_large_and_the_lengths_close():
+    # Equal lengths, but the cheapest path shifts by 10 diagonals.
+    tail = [f"x{i}" for i in range(20)]
+    head = [f"a{i}" for i in range(10)]
+    gold, system = tail + head, head + tail
+    steps = flexud._align_integer_runs(gold, system)
+    assert steps == reference_steps(gold, system)
+    # Within the starting band of 3 diagonals the cheapest path costs 60.
+    assert sum(step[0] != "match" for step in steps) == 20
+    assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
+
+
+def test_400_token_pair_with_20_edits():
+    rng = random.Random(4)
+    gold = [f"w{rng.randrange(40)}" for _ in range(400)]
+    system = list(gold)
+    for _ in range(20):
+        p = rng.randrange(len(system) - 1)
+        kind = rng.choice(["split", "merge", "drop", "insert", "change"])
+        if kind == "split":
+            system[p:p + 1] = [system[p][:1], system[p][1:]]
+        elif kind == "merge":
+            system[p:p + 2] = [system[p] + system[p + 1]]
+        elif kind == "drop":
+            del system[p]
+        elif kind == "insert":
+            system.insert(p, f"w{rng.randrange(40)}")
+        else:
+            system[p] += "x"
+    assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
+
+
+def test_aligning_3000_identical_tokens_stays_small():
+    sentence = plain([f"word{i}" for i in range(3000)])
+    tracemalloc.start()
+    try:
+        alignment = align_tokens(sentence, sentence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [l.kind for l in alignment.links] == ["one_one"] * 3000
+    assert peak <= 8 * 1024 * 1024, peak

@@ -48,6 +48,18 @@ def test_replay_miss_on_stale_hash(tmp_path):
         store.load("x", "hash2")
 
 
+@pytest.mark.parametrize("content", ['{"request_hash": "ab'.encode(),
+                                     '{"raw_response": "é'.encode()[:-1]],
+                         ids=["truncated-json", "truncated-utf8"])
+def test_replay_store_corrupt_record_is_a_backend_error_naming_the_file(
+        tmp_path, content):
+    store = ReplayStore(tmp_path)
+    store.path_for("x.sph").write_bytes(content)
+    with pytest.raises(BackendError, match="corrupt replay record") as err:
+        store.load("x.sph", "ab")
+    assert str(tmp_path / "x.sph.json") in str(err.value)
+
+
 @pytest.mark.parametrize("key", ["../x.sph", "a/b.sph", "a\\b.sph", ".x.sph",
                                  "/abs.sph", ""])
 def test_replay_store_refuses_keys_outside_its_directory(tmp_path, key):

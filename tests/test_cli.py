@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,51 @@ def test_parse_empty_manifest_id_exits_one_and_names_line(
         f"error: {path}: line 3: sentence_id must be a non-empty string, "
         f"found ''\n")
     assert not out.exists()
+
+
+def _broken_line(line, case):
+    if case == "malformed":
+        return line[:40]
+    if case == "not an object":
+        return "[1, 2]"
+    obj = json.loads(line)
+    del obj[case]
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("malformed", "not valid JSON: "),
+    ("not an object", "expected a JSON object"),
+    ("category", "missing key 'category'"),
+    ("tokens", "missing key 'tokens'"),
+], ids=["malformed", "not-an-object", "no-category", "no-tokens"])
+def test_parse_broken_manifest_line_exits_one_and_names_line(
+        tmp_path, manifest_path, capsys, case, message):
+    lines = Path(manifest_path).read_text("utf-8").splitlines()
+    lines[2] = _broken_line(lines[2], case)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", path, "--out", out,
+                "--backend-mode", "stub"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 3: {message}")
+    assert not out.exists()
+
+
+def test_parse_corrupt_replay_record_fails_only_its_sentence(
+        tmp_path, replay_dir, manifest_path, capsys):
+    replay = tmp_path / "replay"
+    shutil.copytree(replay_dir, replay)
+    (replay / "disc1.sph.json").write_text('{"request_hash": "ab', "utf-8")
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", manifest_path, "--out", out,
+                "--backend-mode", "replay", "--replay-dir", replay]) == 1
+    captured = capsys.readouterr().out
+    assert (f"FAILED disc1 at SPH: corrupt replay record "
+            f"{replay / 'disc1.sph.json'}: ") in captured
+    assert "parsed 2 sentences, 1 failures" in captured
+    sentences = parse_conllu((out / "parses.conllu").read_text("utf-8"))
+    assert [s.sentence_id for s in sentences] == ["del1", "fig2"]
 
 
 def test_parse_replay_key_outside_replay_dir_fails_the_sentence(

@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from decimal import Decimal, ROUND_HALF_UP, localcontext
 
 import pytest
 
-from spokenud.core import ROOT, Category, NodeId, Sentence, Token
+from spokenud.core import ROOT, Category, NodeId, Sentence, Token, head_cycles
 from spokenud.flexud import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOLERANCE,
@@ -26,8 +27,7 @@ from spokenud.flexud import (
     flexud_report,
     normalize_form,
 )
-from spokenud import flexud
-from spokenud.flexud import _gold_subtrees
+from spokenud.flexud import _in_gold_subtree
 
 from gen import random_sentence
 
@@ -304,28 +304,6 @@ def test_reparandum_misattached():
     assert any(i.issue_class == "ReparandumMisattached" for i in report.issues)
 
 
-def test_gold_subtrees_built_only_for_a_reparandum_with_a_partner(monkeypatch):
-    calls = []
-
-    def counting(gold):
-        calls.append(gold.sentence_id)
-        return _gold_subtrees(gold)
-
-    monkeypatch.setattr(flexud, "_gold_subtrees", counting)
-    plain = simple(["hola", "que", "tal"])
-    detect_severity(plain, plain, align_tokens(plain, plain))
-    assert calls == []
-    gold = Sentence("r", (
-        Token(id=NodeId(1), form="I", upos="PRON", head=NodeId(3),
-              deprel="reparandum", spoken_label="reparandum"),
-        Token(id=NodeId(2), form="I", upos="PRON", head=NodeId(3),
-              deprel="reparandum", spoken_label="reparandum"),
-        Token(id=NodeId(3), form="go", upos="VERB", head=ROOT, deprel="root"),
-    ))
-    detect_severity(gold, gold, align_tokens(gold, gold))
-    assert calls == ["r"]
-
-
 def test_contribution_bands_enforced():
     with pytest.raises(ValueError):
         PenaltySchedule(missing_dotted_mwe=0.7)
@@ -356,8 +334,20 @@ def _gold_subtrees_recursive(gold):
     return subtree
 
 
+def _meets_head_before_revisiting(gold_by_id, node, head):
+    """The rule for cyclic gold, stated directly."""
+    seen = set()
+    while node in gold_by_id and node not in seen:
+        if node == head:
+            return True
+        seen.add(node)
+        node = gold_by_id[node].head
+    return False
+
+
 def test_gold_subtrees_match_recursive_reference_on_random_head_graphs():
     rng = random.Random(17)
+    cyclic = 0
     for case in range(2000):
         n = rng.randint(1, 12)
         ids = [NodeId(i) for i in range(1, n + 1)]
@@ -377,8 +367,65 @@ def test_gold_subtrees_match_recursive_reference_on_random_head_graphs():
             tokens.append(Token(id=node, form="w", head=head))
         rng.shuffle(tokens)  # walk order must not matter for the comparison
         gold = Sentence(f"g{case}", tuple(tokens))
-        expected = _gold_subtrees_recursive(gold)
-        assert list(_gold_subtrees(gold).items()) == list(expected.items()), case
+        gold_by_id = gold.token_index()
+        pairs = [(head, node) for head in ids for node in ids]
+        if head_cycles(gold.tokens, set(ids)):
+            cyclic += 1
+            for head, node in pairs:
+                assert _in_gold_subtree(node, head, gold_by_id) == \
+                    _meets_head_before_revisiting(gold_by_id, node, head), case
+        else:
+            subtrees = _gold_subtrees_recursive(gold)
+            for head, node in pairs:
+                assert _in_gold_subtree(node, head, gold_by_id) == \
+                    (node in subtrees[head]), case
+    assert 200 < cyclic < 1800
+
+
+def test_in_gold_subtree_on_cyclic_gold():
+    # 1 and 2 head each other, 3 hangs below 2, 4 below 3, 5 has a dangling
+    # head: each cycle member lies under every other, whatever the order.
+    heads = {1: NodeId(2), 2: NodeId(1), 3: NodeId(2), 4: NodeId(3), 5: NodeId(9)}
+    gold = Sentence("c", tuple(Token(id=NodeId(i), form="w", head=h)
+                               for i, h in heads.items()))
+    gold_by_id = gold.token_index()
+
+    def under(node, head):
+        return _in_gold_subtree(NodeId(node), NodeId(head), gold_by_id)
+
+    assert under(1, 2) and under(2, 1)
+    assert under(1, 1) and under(2, 2)
+    assert under(4, 1) and under(4, 2) and under(4, 3) and under(3, 1)
+    assert not under(1, 3) and not under(2, 4) and not under(3, 4)
+    assert not under(5, 9) and not under(1, 9)
+    # A three-cycle reached from a tail, walked from every entry point.
+    heads = {1: NodeId(3), 2: NodeId(1), 3: NodeId(2), 4: NodeId(1)}
+    gold_by_id = Sentence("t", tuple(Token(id=NodeId(i), form="w", head=h)
+                                     for i, h in heads.items())).token_index()
+    for node in (1, 2, 3, 4):
+        for head in (1, 2, 3):
+            assert under(node, head)
+    assert not any(under(node, 4) for node in (1, 2, 3))
+
+
+def test_reparandum_under_its_head_in_cyclic_gold_is_not_misattached():
+    gold = Sentence("rc", (
+        Token(id=NodeId(1), form="I", upos="PRON", head=NodeId(3),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(2), form="go", upos="VERB", head=NodeId(3), deprel="dep"),
+        Token(id=NodeId(3), form="now", upos="ADV", head=NodeId(2), deprel="dep"),
+    ))
+    # The system attaches the reparandum to 2, which lies under 3 in the gold
+    # cycle 2 <-> 3 (a descendant table built from 1, 2, 3 in order left 2
+    # outside the subtree of 3).
+    system = Sentence("rc", (
+        Token(id=NodeId(1), form="I", upos="PRON", head=NodeId(2),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(2), form="go", upos="VERB", head=ROOT, deprel="root"),
+        Token(id=NodeId(3), form="now", upos="ADV", head=NodeId(2), deprel="dep"),
+    ))
+    report = detect_severity(gold, system, align_tokens(gold, system))
+    assert not any(i.issue_class == "ReparandumMisattached" for i in report.issues)
 
 
 def test_detect_severity_survives_a_1200_token_chain():
@@ -392,8 +439,15 @@ def test_detect_severity_survives_a_1200_token_chain():
     gold = Sentence("deep", tokens)
     alignment = Alignment(tuple(AlignmentLink((t.id,), (t.id,), "one_one")
                                 for t in tokens))
-    report = detect_severity(gold, gold, alignment)
+    tracemalloc.start()
+    try:
+        report = detect_severity(gold, gold, alignment)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.issues == () and report.P == 0.0
+    # A descendant set per node took 34.5 MB here.
+    assert peak < 2 * 1024 * 1024, peak
 
 
 # --- final aggregation --------------------------------------------------------------
