@@ -27,6 +27,7 @@ from spokenud.flexud import (
     flexud_report,
     normalize_form,
 )
+from spokenud import flexud
 from spokenud.flexud import _in_gold_subtree
 
 from gen import random_sentence
@@ -302,6 +303,31 @@ def test_reparandum_misattached():
     alignment = align_tokens(gold, system)
     report = detect_severity(gold, system, alignment)
     assert any(i.issue_class == "ReparandumMisattached" for i in report.issues)
+
+
+def test_gold_subtrees_built_only_for_a_reparandum_with_a_partner(monkeypatch):
+    calls = []
+
+    def counting(node, head, gold_by_id):
+        calls.append((node, head))
+        return _in_gold_subtree(node, head, gold_by_id)
+
+    monkeypatch.setattr(flexud, "_in_gold_subtree", counting)
+    plain = simple(["hola", "que", "tal"])
+    detect_severity(plain, plain, align_tokens(plain, plain))
+    assert calls == []
+    gold = Sentence("r", (
+        Token(id=NodeId(1), form="I", upos="PRON", head=NodeId(3),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(2), form="I", upos="PRON", head=NodeId(3),
+              deprel="reparandum", spoken_label="reparandum"),
+        Token(id=NodeId(3), form="go", upos="VERB", head=ROOT, deprel="root"),
+    ))
+    # Without a system partner the reparandum is not checked.
+    detect_severity(gold, gold, Alignment(()))
+    assert calls == []
+    detect_severity(gold, gold, align_tokens(gold, gold))
+    assert calls == [(NodeId(3), NodeId(3)), (NodeId(3), NodeId(3))]
 
 
 def test_contribution_bands_enforced():
