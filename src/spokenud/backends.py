@@ -120,6 +120,9 @@ class ReplayStore:
             record = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise BackendError(f"corrupt replay record {path}: {err}") from err
+        if not isinstance(record, dict) or not isinstance(record.get("raw_response"), str):
+            raise BackendError(f"corrupt replay record {path}: "
+                               "expected an object with a string raw_response")
         if record.get("request_hash") != fingerprint:
             raise ReplayMiss(key, fingerprint)
         return record["raw_response"]

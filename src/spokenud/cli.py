@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .backends import BackendError, make_backend
@@ -143,30 +144,20 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
             continue
         parses.append(result)
         sentence = induced_sentence(result)
-        out_sentences.append(Sentence(
-            sentence_id=sentence.sentence_id,
-            tokens=sentence.tokens,
-            category=categories.get(sentence.sentence_id),
-            metadata=sentence.metadata,
-        ))
+        out_sentences.append(replace(
+            sentence, category=categories.get(sentence.sentence_id)))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "parses.conllu").write_text(emit_conllu(out_sentences), encoding="utf-8")
     (out / "parses.sheet.tsv").write_text(emit_sheet(out_sentences), encoding="utf-8")
-    failure_lines = [json.dumps({
-        "sentence_id": f.sentence_id,
-        "stage": f.stage,
-        "error": f.error,
-    }, ensure_ascii=False, sort_keys=True) for f in failures]
-    (out / "failures.jsonl").write_text(
-        "\n".join(failure_lines) + ("\n" if failure_lines else ""), encoding="utf-8")
-    log_lines = []
-    for parse in parses:
-        for line in parse.adjudication_log:
-            log_lines.append(f"{parse.sentence_id}\t{line}")
-    (out / "adjudication.log").write_text(
-        "\n".join(log_lines) + ("\n" if log_lines else ""), encoding="utf-8")
+    _write_lines(out / "failures.jsonl", [json.dumps(
+        {key: getattr(f, key) for key in
+         ("sentence_id", "stage", "error", "attempts", "violations")},
+        ensure_ascii=False, sort_keys=True) for f in failures])
+    _write_lines(out / "adjudication.log", [
+        f"{parse.sentence_id}\t{line}"
+        for parse in parses for line in parse.adjudication_log])
 
     print(f"parsed {len(parses)} sentences, {len(failures)} failures")
     for failure in failures:
@@ -191,12 +182,19 @@ def _sentences_by_id(path: str) -> dict[str, Sentence]:
         if sentence.sentence_id in by_id:
             raise DuplicateSentenceId(
                 f"{sentence.sentence_id or '<unnamed>'} in {path}")
+        if not sentence.tokens:
+            raise SpokenUdError(f"sentence {sentence.sentence_id or '<unnamed>'} "
+                                f"in {path} has no token rows")
         by_id[sentence.sentence_id] = sentence
     return by_id
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
 def evaluate_pair(gold: Sentence, system: Sentence, config: ToolkitConfig):
@@ -266,10 +264,8 @@ def cmd_eval(args, config: ToolkitConfig) -> int:
                                                standard))
         flex_results.append(FlexResult(gold.sentence_id, gold.category, flex))
 
-    (out / "per_sentence.jsonl").write_text(
-        "\n".join(json.dumps(r, ensure_ascii=False, sort_keys=True)
-                  for r in records) + ("\n" if records else ""),
-        encoding="utf-8")
+    _write_lines(out / "per_sentence.jsonl", [
+        json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records])
     _write_tables(out, args.metric, standard_results, flex_results)
     print(f"evaluated {len(records)} sentences "
           f"(metric={args.metric}, tables in {out})")
@@ -277,18 +273,15 @@ def cmd_eval(args, config: ToolkitConfig) -> int:
 
 
 def _write_tables(out: Path, metric: str, standard_results, flex_results) -> None:
-    if metric in ("standard", "both"):
-        table = aggregate_by_category(standard_results)
-        (out / "standard_by_category.md").write_text(table.to_markdown(),
-                                                     encoding="utf-8")
-        (out / "standard_by_category.csv").write_text(table.to_csv(),
-                                                      encoding="utf-8")
-    if metric in ("flexud", "both"):
-        table = flexud_report(flex_results)
-        (out / "flexud_by_category.md").write_text(table.to_markdown(),
-                                                   encoding="utf-8")
-        (out / "flexud_by_category.csv").write_text(table.to_csv(),
-                                                    encoding="utf-8")
+    for name, tabulate, results in (
+            ("standard", aggregate_by_category, standard_results),
+            ("flexud", flexud_report, flex_results)):
+        if metric in (name, "both"):
+            table = tabulate(results)
+            (out / f"{name}_by_category.md").write_text(table.to_markdown(),
+                                                        encoding="utf-8")
+            (out / f"{name}_by_category.csv").write_text(table.to_csv(),
+                                                         encoding="utf-8")
 
 
 def cmd_validate(args) -> int:

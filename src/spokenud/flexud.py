@@ -357,14 +357,10 @@ class Weights:
 DEFAULT_WEIGHTS = Weights()
 
 
-def _clamp_score(value: int) -> int:
-    return max(1, min(100, value))
-
-
 def _percentage(numerator: Fraction, denominator: int) -> int:
     if denominator == 0:
         return 1
-    return _clamp_score(half_up(Fraction(100) * numerator / denominator))
+    return max(1, min(100, half_up(Fraction(100) * numerator / denominator)))
 
 
 def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
@@ -374,8 +370,7 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
     one_one = alignment.one_one()
     n_gold, n_system = len(gold.tokens), len(system.tokens)
 
-    s_split = _clamp_score(half_up(
-        Fraction(100 * 2 * len(one_one), n_gold + n_system)))
+    s_split = _percentage(Fraction(2 * len(one_one)), n_gold + n_system)
 
     gold_rank = {t.id: i for i, t in enumerate(gold.tokens)}
     system_rank = {t.id: i for i, t in enumerate(system.tokens)}

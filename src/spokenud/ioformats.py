@@ -483,6 +483,11 @@ def load_manifest(path) -> BenchmarkManifest:
             for key in ("category", "tokens", "gold_conllu"):
                 if key not in obj:
                     raise SpokenUdError(f"{where}: missing key {key!r}")
+            if not isinstance(obj["tokens"], list) or not all(
+                    isinstance(t, dict) and isinstance(t.get("form"), str)
+                    for t in obj["tokens"]):
+                raise SpokenUdError(
+                    f"{where}: tokens must be objects with a string 'form'")
             category = Category.from_label(obj["category"])
             tokens = tuple((t["form"], t.get("lang_tag", "unknown"))
                            for t in obj["tokens"])

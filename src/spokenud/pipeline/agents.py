@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 import threading
 
 import jsonschema
@@ -38,23 +40,101 @@ class SchemaViolation(SpokenUdError):
 _validators: dict = {}
 _validators_lock = threading.Lock()
 
+_KEYWORDS = frozenset((
+    "type", "required", "properties", "items", "minItems", "minLength",
+    "pattern", "patternProperties", "additionalProperties", "enum", "minimum",
+    "maximum", "$ref", "$schema", "$id", "title", "description", "$defs"))
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": int}
+_regex = functools.cache(re.compile)
+
 
 def _validator(stage: str):
     """The stage's schema validator, built once per process. The schema is
-    checked against its metaschema on first use, so a broken shipped schema
-    still fails loudly."""
+    checked against its metaschema, and for keywords _conforms does not
+    interpret, on first use, so a broken shipped schema still fails loudly."""
     with _validators_lock:
         if stage not in _validators:
             schema = stage_schema(stage)
             cls = jsonschema.validators.validator_for(schema)
             cls.check_schema(schema)
+            _check_keywords(stage, schema)
             _validators[stage] = cls(schema)
         return _validators[stage]
 
 
+def _check_keywords(stage: str, schema) -> None:
+    if not isinstance(schema, dict):
+        raise SpokenUdError(f"{stage} schema: unsupported subschema {schema!r}")
+    for key, value in schema.items():
+        if key not in _KEYWORDS or key == "$ref" and not value.startswith("#/$defs/") \
+                or key == "additionalProperties" and not isinstance(value, bool) \
+                or key == "enum" and any(isinstance(v, (list, dict)) for v in value):
+            raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}")
+        for sub in value.values() if key in ("properties", "patternProperties", "$defs") \
+                else [value] if key == "items" else ():
+            _check_keywords(stage, sub)
+
+
+def _is_type(obj, name: str) -> bool:
+    if isinstance(obj, bool):
+        return name == "boolean"
+    return isinstance(obj, _TYPES[name]) or \
+        name == "integer" and isinstance(obj, float) and obj.is_integer()
+
+
+def _conforms(schema: dict, obj, root: dict | None = None) -> bool:
+    """Whether ``obj`` is valid under ``schema`` by jsonschema's draft 2020-12
+    semantics for the keywords in _KEYWORDS, of which the last five check
+    nothing. Enum members are scalars; True never equals 1, as in jsonschema."""
+    root = root or schema
+    if "$ref" in schema and not _conforms(
+            root["$defs"][schema["$ref"].removeprefix("#/$defs/")], obj, root):
+        return False
+    types = schema.get("type")
+    if types is not None and not (
+            _is_type(obj, types) if isinstance(types, str)
+            else any(_is_type(obj, t) for t in types)):
+        return False
+    if "enum" in schema and not any(
+            e is obj or isinstance(e, bool) == isinstance(obj, bool) and e == obj
+            for e in schema["enum"]):
+        return False
+    if isinstance(obj, str):
+        return len(obj) >= schema.get("minLength", 0) and (
+            "pattern" not in schema or bool(_regex(schema["pattern"]).search(obj)))
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return not ("minimum" in schema and obj < schema["minimum"]
+                    or "maximum" in schema and obj > schema["maximum"])
+    if isinstance(obj, list):
+        items = schema.get("items")
+        return len(obj) >= schema.get("minItems", 0) and (
+            items is None or all(_conforms(items, x, root) for x in obj))
+    if not isinstance(obj, dict):
+        return True
+    properties = schema.get("properties", {})
+    patterns = schema.get("patternProperties", {})
+    for key, value in obj.items():
+        known = key in properties
+        if known and not _conforms(properties[key], value, root):
+            return False
+        for pattern, sub in patterns.items():
+            if _regex(pattern).search(key):
+                known = True
+                if not _conforms(sub, value, root):
+                    return False
+        if not known and schema.get("additionalProperties") is False:
+            return False
+    return all(key in obj for key in schema.get("required", ()))
+
+
 def _schema_violations(stage: str, obj: dict) -> list[str]:
-    """The error ``jsonschema.validate`` would raise, as a violation line."""
-    err = jsonschema.exceptions.best_match(_validator(stage).iter_errors(obj))
+    """The error ``jsonschema.validate`` would raise, as a violation line;
+    jsonschema is asked only about responses _conforms rejects."""
+    validator = _validator(stage)
+    if _conforms(validator.schema, obj):
+        return []
+    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
     if err is None:
         return []
     path = "/".join(str(p) for p in err.absolute_path)
@@ -81,13 +161,12 @@ def run_agent(stage: str, upstream, backend, config, *,
     repair rounds with the violation list appended to the prompt, up to the
     configured retry budget; exhaustion raises SchemaViolation.
     """
+    sentence_id = upstream.sentence_id
     if stage == "sph":
         input_sentence = upstream
         payload = input_payload(upstream)
-        sentence_id = upstream.sentence_id
     else:
         payload = upstream.to_payload()
-        sentence_id = upstream.sentence_id
     payload_text = envelope_to_json_text(payload)
     system_prompt, user_prompt = render_prompt(stage, payload_text)
     budget = config.agent_retries
@@ -139,27 +218,18 @@ def seed_replay_store(store: ReplayStore, sentence: Sentence,
     parsed (and whitelist MWEs applied, mirroring run_agent) to derive the
     next stage's prompt, so replay-mode lookups hit the recorded entries.
     """
-    sph_payload = envelope_to_json_text(input_payload(sentence))
-    system_prompt, user_prompt = render_prompt("sph", sph_payload)
-    store.save(f"{sentence.sentence_id}.sph",
-               request_fingerprint(system_prompt, user_prompt, model),
-               responses["sph"])
-
-    sph_envelope, violations = parse_sph(json.loads(responses["sph"]))
-    if violations:
-        raise SpokenUdError(f"canned sph response invalid: {violations}")
-    lsr_payload = envelope_to_json_text(sph_envelope.to_payload())
-    system_prompt, user_prompt = render_prompt("lsr", lsr_payload)
-    store.save(f"{sentence.sentence_id}.lsr",
-               request_fingerprint(system_prompt, user_prompt, model),
-               responses["lsr"])
-
-    lsr_envelope, violations = parse_lsr(json.loads(responses["lsr"]))
-    if violations:
-        raise SpokenUdError(f"canned lsr response invalid: {violations}")
-    lsr_envelope, _ = apply_mwe_whitelist(lsr_envelope, mwe_whitelist)
-    core_payload = envelope_to_json_text(lsr_envelope.to_payload())
-    system_prompt, user_prompt = render_prompt("core", core_payload)
-    store.save(f"{sentence.sentence_id}.core",
-               request_fingerprint(system_prompt, user_prompt, model),
-               responses["core"])
+    payload = input_payload(sentence)
+    for stage in ("sph", "lsr", "core"):
+        system_prompt, user_prompt = render_prompt(stage, envelope_to_json_text(payload))
+        store.save(f"{sentence.sentence_id}.{stage}",
+                   request_fingerprint(system_prompt, user_prompt, model),
+                   responses[stage])
+        if stage == "core":
+            return
+        parse = parse_sph if stage == "sph" else parse_lsr
+        envelope, violations = parse(json.loads(responses[stage]))
+        if violations:
+            raise SpokenUdError(f"canned {stage} response invalid: {violations}")
+        if stage == "lsr":
+            envelope, _ = apply_mwe_whitelist(envelope, mwe_whitelist)
+        payload = envelope.to_payload()

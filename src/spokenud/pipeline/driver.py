@@ -38,6 +38,8 @@ def parse_sentence(sentence: Sentence, backend, config) -> FinalParse | Sentence
             stage=stage.upper(),
             error=str(err),
             envelopes=envelopes,
+            attempts=getattr(err, "attempts", None),
+            violations=getattr(err, "violations", []),
         )
 
 

@@ -123,6 +123,8 @@ class SentenceFailure:
     stage: str
     error: str
     envelopes: dict = field(default_factory=dict)
+    attempts: int | None = None  # from a SchemaViolation; None for a BackendError
+    violations: list = field(default_factory=list)
 
 
 def _envelope_payload(envelope: SphOutput) -> dict:

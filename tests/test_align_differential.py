@@ -88,9 +88,7 @@ def edited(forms, edits):
 
 @st.composite
 def pairs(draw):
-    # Not empty: component_scores divides by zero when both sentences are
-    # empty, a defect outside the alignment.
-    gold_forms = draw(st.lists(st.sampled_from(FORMS), min_size=1, max_size=14))
+    gold_forms = draw(st.lists(st.sampled_from(FORMS), max_size=14))
     if draw(st.booleans()):
         system_forms = draw(st.lists(st.sampled_from(FORMS), max_size=14))
     else:

@@ -118,6 +118,20 @@ def test_eval_one_unnamed_sentence_still_works(tmp_path, capsys):
     assert "evaluated 1 sentences" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("empty_side", ["gold", "system"])
+def test_eval_sentence_without_token_rows_exits_one(tmp_path, capsys, empty_side):
+    paths = {side: tmp_path / f"{side}.conllu" for side in ("gold", "system")}
+    for side, path in paths.items():
+        text = "# sent_id = e1\n" if side == empty_side else _conllu("e1")
+        path.write_text(_conllu("a1") + "\n" + text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["eval", "--gold", paths["gold"], "--system", paths["system"],
+                "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sentence e1 in {paths[empty_side]} has no token rows\n")
+    assert not out.exists()
+
+
 def test_eval_jsonl_numbers_match_tables(tmp_path):
     out = tmp_path / "eval"
     run(["eval", "--gold", GOLD, "--system", GOLD, "--out", out])
@@ -312,3 +326,84 @@ def test_parse_replay_key_outside_replay_dir_fails_the_sentence(
                 "--backend-mode", "replay", "--replay-dir", replay_dir]) == 1
     assert ("FAILED ../disc1 at SPH: replay key '../disc1.sph' is not a plain "
             "file name") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record", [
+    "[1]",
+    '{"request_hash": "x"}',
+    '{"request_hash": "x", "raw_response": {"sentence_id": "disc1"}}',
+], ids=["not-an-object", "no-raw-response", "raw-response-not-a-string"])
+def test_parse_replay_record_of_wrong_shape_fails_only_its_sentence(
+        tmp_path, replay_dir, manifest_path, capsys, record):
+    replay = tmp_path / "replay"
+    shutil.copytree(replay_dir, replay)
+    (replay / "disc1.sph.json").write_text(record, "utf-8")
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", manifest_path, "--out", out,
+                "--backend-mode", "replay", "--replay-dir", replay]) == 1
+    captured = capsys.readouterr().out
+    assert (f"FAILED disc1 at SPH: corrupt replay record "
+            f"{replay / 'disc1.sph.json'}: expected an object with a string "
+            f"raw_response") in captured
+    assert "parsed 2 sentences, 1 failures" in captured
+    failure, = [json.loads(line) for line in
+                (out / "failures.jsonl").read_text("utf-8").splitlines()]
+    assert (failure["attempts"], failure["violations"]) == (None, [])
+
+
+def _break_first_token(line, case):
+    obj = json.loads(line)
+    if case == "no-form":
+        del obj["tokens"][0]["form"]
+    elif case == "form-not-a-string":
+        obj["tokens"][0]["form"] = 7
+    elif case == "token-not-an-object":
+        obj["tokens"][0] = "hola"
+    else:
+        obj["tokens"] = "hola"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("case", ["no-form", "form-not-a-string",
+                                  "token-not-an-object", "tokens-not-a-list"])
+def test_parse_bad_manifest_token_exits_one_before_any_backend_call(
+        tmp_path, manifest_path, capsys, monkeypatch, case):
+    lines = Path(manifest_path).read_text("utf-8").splitlines()
+    lines[2] = _break_first_token(lines[2], case)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def no_backend(config):
+        raise AssertionError("a backend was made")
+
+    monkeypatch.setattr("spokenud.cli.make_backend", no_backend)
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", path, "--out", out,
+                "--backend-mode", "stub"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: tokens must be objects with a string 'form'\n")
+    assert not out.exists()
+
+
+def test_failures_jsonl_records_attempts_and_violations(
+        tmp_path, manifest_path, monkeypatch):
+    from spokenud.backends import StubBackend
+    from spokenud.config import load_config
+
+    monkeypatch.setattr("spokenud.cli.make_backend", lambda config: StubBackend(
+        script=lambda system, user, key: '{"sentence_id": 5}'))
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", manifest_path, "--out", out,
+                "--backend-mode", "stub"]) == 1
+    failures = [json.loads(line) for line in
+                (out / "failures.jsonl").read_text("utf-8").splitlines()]
+    attempts = load_config().agent_retries + 1
+    assert [sorted(f) for f in failures] == [
+        ["attempts", "error", "sentence_id", "stage", "violations"]] * 3
+    for failure in failures:
+        assert failure["stage"] == "SPH"
+        assert failure["attempts"] == attempts
+        assert failure["violations"] == [
+            "schema: 'tokens' is a required property at <root>"]
+        assert failure["error"].startswith(
+            f"SPH output invalid after {attempts} attempts: schema: ")

@@ -229,6 +229,12 @@ def test_component_floor_is_one():
     assert scores.s_split == 1 and scores.s_id == 1
 
 
+def test_two_empty_sentences_score_at_the_floor():
+    gold, system = Sentence("g", ()), Sentence("s", ())
+    scores = component_scores(gold, system, align_tokens(gold, system))
+    assert scores == ComponentScores(1, 1, 1, 1, 1)
+
+
 def test_tolerance_credit_monotone():
     gold, exact = ten_token_pair()
     _, tolerant = ten_token_pair(system_upos_change=(3, "AUX"))

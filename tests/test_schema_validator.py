@@ -11,9 +11,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spokenud.backends import StubBackend
 from spokenud.config import load_config
+from spokenud.core import SpokenUdError
 from spokenud.ioformats import load_manifest, manifest_entry_to_input_sentence
 from spokenud.pipeline import agents, run_agent
 from spokenud.pipeline.prompts import STAGES, stage_schema
@@ -187,3 +190,141 @@ def test_retry_prompt_wording_is_pinned(pipeline_manifest_path):
         "  ],\n"
         '  "instruction": "Return the corrected JSON object only."\n'
         "}")
+
+
+# --- the built-in predicate against jsonschema's verdict ----------------------
+
+NAN, INF = float("nan"), float("inf")
+EDGE_VALUES = (1.0, -2.0, True, False, 0, "1\n", "\u0661", NAN, INF, -INF)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(WRONG_TYPES + BAD_IDS + OUT_OF_RANGE + EDGE_VALUES)
+    .map(copy.deepcopy),  # WRONG_TYPES holds lists and dicts an edit may grow
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+EXTRA_KEYS = st.sampled_from(("extra", "7", "1\n", "\u0661", "a", "")) \
+    | st.text(max_size=3)
+
+
+def slots(container):
+    """Every (container, key) pair at or below ``container``."""
+    items = container.items() if isinstance(container, dict) else \
+        enumerate(container) if isinstance(container, list) else ()
+    for key, value in list(items):
+        yield container, key
+        yield from slots(value)
+
+
+def verdicts(stage: str, obj) -> tuple[bool, bool]:
+    validator = agents._validator(stage)
+    return agents._conforms(validator.schema, obj), validator.is_valid(obj)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_conforms_agrees_with_jsonschema(stage, data):
+    """A random path gets an arbitrary JSON value, a key is deleted, or an
+    extra key is added; the holder list lets the root itself be replaced."""
+    holder = [fixture_response(data.draw(st.sampled_from(FIXTURES)), stage)]
+    for _ in range(data.draw(st.integers(1, 3))):
+        edit = data.draw(st.sampled_from(("set", "delete", "add")))
+        if edit == "add":
+            dicts = [v for c, k in slots(holder) if isinstance(v := c[k], dict)]
+            if dicts:
+                data.draw(st.sampled_from(dicts))[data.draw(EXTRA_KEYS)] = \
+                    data.draw(JSON_VALUES)
+            continue
+        container, key = data.draw(st.sampled_from(list(slots(holder))))
+        if edit == "set":
+            container[key] = data.draw(JSON_VALUES)
+        elif container is not holder:
+            del container[key]
+    conforms, valid = verdicts(stage, holder[0])
+    assert conforms == valid, holder[0]
+
+
+TOKEN_CASES = [
+    ("orig_token_index", 1.0, True),
+    ("orig_token_index", -0.0, False),
+    ("orig_token_index", True, False),
+    ("orig_token_index", 1.5, False),
+    ("proposed_ID", "1\n", True),
+    ("proposed_ID", "\u0661", False),
+    ("spoken_anchor", "1\n", True),
+    ("spoken_label", 0, False),
+    ("spoken_label", False, False),
+    ("spoken_label", None, True),
+    ("sph_confidence", NAN, True),
+    ("sph_confidence", INF, False),
+    ("lsr_confidence", -INF, False),
+    ("lsr_confidence", True, False),
+    ("mwe", 1, False),
+    ("split_token", "", False),
+]
+CORE_TOKEN_CASES = [
+    ("HEAD_ID", "", True),
+    ("HEAD_ID", "1\n", True),
+    ("HEAD_ID", "\u0661", False),
+    ("core_confidence", NAN, True),
+    ("core_confidence", INF, False),
+    ("core_confidence", 1, True),
+    ("LEMMA", False, False),
+]
+ROOT_CASES = [
+    (("confidence",), NAN, True),
+    (("confidence",), -INF, False),
+    (("tokens",), [], False),
+    (("proposed_id_map", "a"), ["1"], False),
+    (("proposed_id_map", "\u0661"), ["1"], False),
+    (("proposed_id_map", "1\n"), ["1"], True),
+    (("proposed_id_map", "1"), [1], False),
+]
+FIXED_CASES = (
+    [(s, ("tokens", 0, k), v, ok) for s in ("sph", "lsr") for k, v, ok in TOKEN_CASES]
+    + [(s, path, v, ok) for s in ("sph", "lsr") for path, v, ok in ROOT_CASES]
+    + [("core", ("annotated_tokens", 0, k), v, ok) for k, v, ok in CORE_TOKEN_CASES]
+    + [("core", ("annotated_tokens",), [], False)])
+
+
+@pytest.mark.parametrize("stage, path, value, valid", FIXED_CASES,
+                         ids=[f"{c[0]}-{'.'.join(map(str, c[1]))}={c[2]!r}"
+                              for c in FIXED_CASES])
+def test_conforms_on_fixed_edge_cases(stage, path, value, valid):
+    obj = fixture_response("fig2", stage)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert verdicts(stage, obj) == (valid, valid)
+
+
+@pytest.mark.parametrize("edit, keyword", [
+    (lambda s: s["properties"]["tokens"].update(maxItems=50), "maxItems"),
+    (lambda s: s["$defs"]["token"]["properties"]["lemma"].update(format="x"),
+     "format"),
+    (lambda s: s["properties"]["proposed_id_map"].update(
+        additionalProperties={"type": "string"}), "additionalProperties"),
+    (lambda s: s.update(oneOf=[{"type": "object"}]), "oneOf"),
+], ids=["maxItems", "nested-format", "schema-additionalProperties", "oneOf"])
+def test_unsupported_schema_keyword_fails_loudly(monkeypatch, edit, keyword):
+    schema = copy.deepcopy(stage_schema("lsr"))
+    edit(schema)
+    monkeypatch.setattr(agents, "_validators", {})
+    monkeypatch.setattr(agents, "stage_schema", lambda stage: schema)
+    with pytest.raises(SpokenUdError,
+                       match=f"lsr schema: unsupported keyword '{keyword}'"):
+        agents._schema_violations("lsr", fixture_response("fig2", "lsr"))
+
+
+def test_a_property_named_like_a_keyword_is_not_a_keyword(monkeypatch):
+    schema = copy.deepcopy(stage_schema("sph"))
+    schema["properties"]["maxItems"] = {"type": "integer"}
+    monkeypatch.setattr(agents, "_validators", {})
+    monkeypatch.setattr(agents, "stage_schema", lambda stage: schema)
+    obj = fixture_response("fig2", "sph")
+    assert agents._schema_violations("sph", obj) == []
+    obj["maxItems"] = "many"
+    assert agents._schema_violations("sph", obj) == [
+        "schema: 'many' is not of type 'integer' at maxItems"]
