@@ -179,12 +179,15 @@ def _pair_sentences(gold_path: str, system_path: str):
 def _sentences_by_id(path: str) -> dict[str, Sentence]:
     by_id: dict[str, Sentence] = {}
     for sentence in parse_conllu(_read(path)):
+        name = sentence.sentence_id or '<unnamed>'
         if sentence.sentence_id in by_id:
-            raise DuplicateSentenceId(
-                f"{sentence.sentence_id or '<unnamed>'} in {path}")
+            raise DuplicateSentenceId(f"{name} in {path}")
         if not sentence.tokens:
-            raise SpokenUdError(f"sentence {sentence.sentence_id or '<unnamed>'} "
-                                f"in {path} has no token rows")
+            raise SpokenUdError(f"sentence {name} in {path} has no token rows")
+        index = sentence.token_index()
+        if len(index) < len(sentence.tokens):
+            repeated = next(t.id for t in sentence.tokens if index[t.id] is not t)
+            raise SpokenUdError(f"sentence {name} in {path} repeats node id {repeated}")
         by_id[sentence.sentence_id] = sentence
     return by_id
 

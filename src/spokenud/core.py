@@ -9,7 +9,7 @@ never a node id, so renumbering can never collide with it.
 from __future__ import annotations
 
 import enum
-import functools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -71,23 +71,30 @@ def is_content_relation(deprel: str) -> bool:
     return base_deprel(deprel) not in FUNCTIONAL_RELATIONS
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(tuple):
     """Token identifier: a positive integer, optionally with a dotted minor.
 
-    Ordering is lexicographic with an absent minor sorting first, so
-    6 < 6.1 < 7.
+    The tuple ``(major, minor)``, so hashing and equality run in C and a
+    NodeId equals the plain tuple. Ordering is lexicographic with an absent
+    minor sorting first, so 6 < 6.1 < 7.
     """
 
-    major: int
-    minor: int | None = None
+    __slots__ = ()
+    major = property(operator.itemgetter(0))
+    minor = property(operator.itemgetter(1))
 
-    def __post_init__(self):
-        if self.major < 1:
-            raise ValueError(f"node major must be >= 1, got {self.major}")
-        if self.minor is not None and self.minor < 1:
-            raise ValueError(f"dotted minor must be >= 1, got {self.minor}")
+    def __new__(cls, major: int, minor: int | None = None):
+        if major < 1:
+            raise ValueError(f"node major must be >= 1, got {major}")
+        if minor is not None and minor < 1:
+            raise ValueError(f"dotted minor must be >= 1, got {minor}")
+        return tuple.__new__(cls, (major, minor))
+
+    def __getnewargs__(self) -> tuple[int, int | None]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"NodeId(major={self.major!r}, minor={self.minor!r})"
 
     @property
     def is_dotted(self) -> bool:
@@ -96,10 +103,18 @@ class NodeId:
     def _key(self) -> tuple[int, int]:
         return (self.major, -1 if self.minor is None else self.minor)
 
-    def __lt__(self, other: "NodeId") -> bool:
-        if not isinstance(other, NodeId):
-            return NotImplemented
-        return self._key() < other._key()
+    # Tuple order cannot compare None with an int, so all four are explicit.
+    def __lt__(self, other):
+        return self._key() < other._key() if isinstance(other, NodeId) else NotImplemented
+
+    def __le__(self, other):
+        return self._key() <= other._key() if isinstance(other, NodeId) else NotImplemented
+
+    def __gt__(self, other):
+        return self._key() > other._key() if isinstance(other, NodeId) else NotImplemented
+
+    def __ge__(self, other):
+        return self._key() >= other._key() if isinstance(other, NodeId) else NotImplemented
 
     def __str__(self) -> str:
         if self.minor is None:

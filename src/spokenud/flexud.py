@@ -13,6 +13,7 @@ so borderline cases like round(2.5) behave as documented.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -47,6 +48,7 @@ class WeightSumInvalid(SpokenUdError):
     pass
 
 
+@functools.lru_cache(maxsize=1024)  # the configured values and each P seen
 def _exact(value: float | int | str) -> Fraction:
     """The decimal value a float's shortest repr denotes, as a fraction."""
     return Fraction(Decimal(str(value)))
@@ -189,6 +191,8 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     the full matrix. Until then w doubles.
     """
     m, n = len(g_norm), len(s_norm)
+    if g_norm == s_norm:
+        return [_MATCH] * m  # the only path of cost 0
     # One sentinel ends both sequences: no form matches it, and (m, n)
     # matches it into a virtual row m + 1 at no cost.
     g_norm, s_norm = g_norm + [None], s_norm + [None]
@@ -357,10 +361,16 @@ class Weights:
 DEFAULT_WEIGHTS = Weights()
 
 
-def _percentage(numerator: Fraction, denominator: int) -> int:
+def _percentage(full: int, denominator: int, partial: int = 0,
+                credit: Fraction = Fraction(0)) -> int:
+    """half_up(100 * (full + partial * credit) / denominator) clipped to
+    [1, 100], in integers: for a credit sum a / b >= 0 it is
+    (200a + bd) // 2bd. A Fraction is formed only for partial credit."""
     if denominator == 0:
         return 1
-    return max(1, min(100, half_up(Fraction(100) * numerator / denominator)))
+    numerator = full + partial * credit if partial else full
+    d = numerator.denominator * denominator
+    return max(1, min(100, (200 * numerator.numerator + d) // (2 * d)))
 
 
 def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
@@ -370,21 +380,20 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
     one_one = alignment.one_one()
     n_gold, n_system = len(gold.tokens), len(system.tokens)
 
-    s_split = _percentage(Fraction(2 * len(one_one)), n_gold + n_system)
+    s_split = _percentage(2 * len(one_one), n_gold + n_system)
 
     gold_rank = {t.id: i for i, t in enumerate(gold.tokens)}
     system_rank = {t.id: i for i, t in enumerate(system.tokens)}
     position_matches = sum(1 for g, s in one_one.items()
                            if gold_rank[g] == system_rank[s])
-    s_id = _percentage(Fraction(position_matches), n_gold)
+    s_id = _percentage(position_matches, n_gold)
 
     system_by_id = system.token_index()
     gold_by_id = gold.token_index()
     annotatable = annotatable_tokens(gold)
 
-    upos_credit = Fraction(0)
-    head_credit = Fraction(0)
-    deprel_credit = Fraction(0)
+    # Every partial credit of a component has the same value: count them.
+    upos_full = upos_part = head_full = head_half = deprel_full = deprel_part = 0
     system_to_gold = {s: g for g, s in one_one.items()}
     for token in annotatable:
         partner_id = one_one.get(token.id)
@@ -393,34 +402,32 @@ def component_scores(gold: Sentence, system: Sentence, alignment: Alignment,
         partner = system_by_id[partner_id]
 
         if partner.upos == token.upos:
-            upos_credit += 1
-        else:
-            pair = tolerance.upos_pair_credit(token.upos, partner.upos)
-            if pair is not None:
-                upos_credit += pair
+            upos_full += 1
+        elif tolerance.upos_pair_credit(token.upos, partner.upos) is not None:
+            upos_part += 1
 
         resolved = resolve_head(partner.head, system_to_gold)
         if head_matches(resolved, token.head):
-            head_credit += 1
+            head_full += 1
         elif isinstance(token.head, NodeId):
             grand = gold_by_id.get(token.head)
             if grand is not None and head_matches(resolved, grand.head):
-                head_credit += Fraction(1, 2)
+                head_half += 1
 
         if partner.deprel == token.deprel:
-            deprel_credit += 1
-        else:
-            cls = tolerance.deprel_class_credit(token.deprel, partner.deprel)
-            if cls is not None:
-                deprel_credit += cls
+            deprel_full += 1
+        elif tolerance.deprel_class_credit(token.deprel, partner.deprel) is not None:
+            deprel_part += 1
 
     denominator = len(annotatable)
     return ComponentScores(
         s_split=s_split,
         s_id=s_id,
-        s_upos=_percentage(upos_credit, denominator),
-        s_head=_percentage(head_credit, denominator),
-        s_deprel=_percentage(deprel_credit, denominator),
+        s_upos=_percentage(upos_full, denominator, upos_part,
+                           _exact(tolerance.upos_credit)),
+        s_head=_percentage(head_full, denominator, head_half, Fraction(1, 2)),
+        s_deprel=_percentage(deprel_full, denominator, deprel_part,
+                             _exact(tolerance.deprel_credit)),
     )
 
 
@@ -524,7 +531,8 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
             add("MultipleRootsOrCycle", issue.node_ids, issue.message)
 
     gold_by_id = gold.token_index()
-    for token in annotatable_tokens(gold):
+    annotatable = annotatable_tokens(gold)
+    for token in annotatable:
         is_reparandum = (token.spoken_label == "reparandum"
                          or (token.deprel and base_deprel(token.deprel) == "reparandum"))
         if not is_reparandum or not isinstance(token.head, NodeId):
@@ -537,7 +545,7 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
             add("ReparandumMisattached", (token.id,),
                 f"reparandum {token.id} attached outside the subtree of {token.head}")
 
-    for token in annotatable_tokens(gold):
+    for token in annotatable:
         partner_id = one_one.get(token.id)
         if partner_id is None:
             continue

@@ -97,29 +97,27 @@ def attachment_scores(gold: Sentence, system: Sentence, alignment) -> StandardSc
     system_to_gold = {s: g for g, s in gold_to_system.items()}
 
     system_by_id = system.token_index()
-    counts = AttachmentCounts()
-    for token in annotatable_tokens(gold):
+    annotatable = annotatable_tokens(gold)
+    aligned = head_correct = labeled_correct = 0
+    content_gold = content_labeled_correct = upos_correct = 0
+    for token in annotatable:
         content = bool(token.deprel) and is_content_relation(token.deprel)
-        aligned = token.id in gold_to_system
-        head_ok = label_ok = upos_ok = False
-        if aligned:
-            partner = system_by_id[gold_to_system[token.id]]
-            upos_ok = partner.upos == token.upos
-            head_ok = head_matches(resolve_head(partner.head, system_to_gold),
-                                   token.head)
-            label_ok = head_ok and partner.deprel == token.deprel
-        counts += AttachmentCounts(
-            gold_total=1,
-            aligned=int(aligned),
-            head_correct=int(head_ok),
-            labeled_correct=int(label_ok),
-            content_gold=int(content),
-            content_labeled_correct=int(content and label_ok),
-            upos_correct=int(upos_ok),
-        )
+        content_gold += content
+        partner_id = gold_to_system.get(token.id)
+        if partner_id is None:
+            continue
+        partner = system_by_id[partner_id]
+        aligned += 1
+        upos_correct += partner.upos == token.upos
+        if head_matches(resolve_head(partner.head, system_to_gold), token.head):
+            head_correct += 1
+            if partner.deprel == token.deprel:
+                labeled_correct += 1
+                content_labeled_correct += content
     extra = sum(1 for t in annotatable_tokens(system) if t.id not in system_to_gold)
-    counts += AttachmentCounts(system_extra=extra)
-    return StandardScores.from_counts(counts)
+    return StandardScores.from_counts(AttachmentCounts(
+        len(annotatable), aligned, head_correct, labeled_correct, content_gold,
+        content_labeled_correct, upos_correct, extra))
 
 
 def resolve_head(head, system_to_gold: dict):

@@ -20,8 +20,8 @@ def _read_data(relative: str) -> str:
     return resources.files("spokenud.data").joinpath(relative).read_text("utf-8")
 
 
-@lru_cache(maxsize=None)
 def stage_schema(stage: str) -> dict:
+    """The stage's output schema, parsed afresh so a caller may edit it."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     return json.loads(_read_data(f"schemas/{stage}_output.schema.json"))

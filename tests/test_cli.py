@@ -132,6 +132,30 @@ def test_eval_sentence_without_token_rows_exits_one(tmp_path, capsys, empty_side
     assert not out.exists()
 
 
+LIKE_IT = ("# sent_id = r1\n"
+           "1\tI\t_\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+           "2\tlike\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+           "{third}\tit\t_\tPRON\t_\t_\t1\tobj\t_\t_\n")
+
+
+@pytest.mark.parametrize("repeating_side", ["gold", "system"])
+def test_eval_repeated_node_id_exits_one_and_names_file_sentence_and_node(
+        tmp_path, capsys, repeating_side):
+    # Rows 1, 2, 2: the second row 2 used to shadow "like" in the token index.
+    paths = {side: tmp_path / f"{side}.conllu" for side in ("gold", "system")}
+    for side, path in paths.items():
+        third = 2 if side == repeating_side else 3
+        path.write_text(LIKE_IT.format(third=third), encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["eval", "--gold", paths["gold"], "--system", paths["system"],
+                "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sentence r1 in {paths[repeating_side]} repeats node id 2\n")
+    assert not out.exists()
+    assert run(["validate", paths[repeating_side]]) == 1
+    assert "IdOrder" in capsys.readouterr().out
+
+
 def test_eval_jsonl_numbers_match_tables(tmp_path):
     out = tmp_path / "eval"
     run(["eval", "--gold", GOLD, "--system", GOLD, "--out", out])

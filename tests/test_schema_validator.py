@@ -300,6 +300,15 @@ def test_conforms_on_fixed_edge_cases(stage, path, value, valid):
     assert verdicts(stage, obj) == (valid, valid)
 
 
+def test_stage_schema_returns_a_fresh_dict_each_call():
+    pristine = copy.deepcopy(stage_schema("sph"))
+    edited = stage_schema("sph")
+    edited["maxItems"] = 1
+    edited["properties"].clear()
+    assert stage_schema("sph") == pristine
+    assert stage_schema("sph") is not stage_schema("sph")
+
+
 @pytest.mark.parametrize("edit, keyword", [
     (lambda s: s["properties"]["tokens"].update(maxItems=50), "maxItems"),
     (lambda s: s["$defs"]["token"]["properties"]["lemma"].update(format="x"),
