@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--replay-dir")
     cmd.add_argument("--model")
     cmd.add_argument("--base-url")
-    cmd.add_argument("--workers", type=int)
+    cmd.add_argument("--workers", type=worker_count)
     cmd.add_argument("--allow-failures", action="store_true",
                      help="exit 0 even when some sentences fail")
 
@@ -91,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                      default="both")
     cmd.add_argument("--out", required=True, help="output directory")
     return parser
+
+
+def worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,7 @@ inline-documented; user files override defaults, CLI flags override both."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -69,13 +69,9 @@ def _build(document: dict) -> ToolkitConfig:
     evaluation = document.get("evaluation", {})
     weights_doc = evaluation.get("weights", {})
     try:
-        weights = Weights(
-            w_split=float(weights_doc.get("split", 0.15)),
-            w_id=float(weights_doc.get("id", 0.15)),
-            w_upos=float(weights_doc.get("upos", 0.20)),
-            w_head=float(weights_doc.get("head", 0.25)),
-            w_deprel=float(weights_doc.get("deprel", 0.25)),
-        )
+        # Field w_split reads key split, and so on.
+        weights = Weights(**{f.name: float(weights_doc.get(f.name[2:], f.default))
+                             for f in fields(Weights)})
     except SpokenUdError as err:
         raise ConfigError(str(err))
 
@@ -93,22 +89,11 @@ def _build(document: dict) -> ToolkitConfig:
 
     penalties_doc = evaluation.get("penalties", {})
     try:
-        penalties = PenaltySchedule(
-            missing_dotted_mwe=float(penalties_doc.get("missing_dotted_mwe", 0.30)),
-            reparandum_misattached=float(
-                penalties_doc.get("reparandum_misattached", 0.25)),
-            invalid_head_persisting=float(
-                penalties_doc.get("invalid_head_persisting", 0.40)),
-            multiple_roots_or_cycle=float(
-                penalties_doc.get("multiple_roots_or_cycle", 0.50)),
-            tolerant_upos_substitution=float(
-                penalties_doc.get("tolerant_upos_substitution", 0.01)),
-            near_miss_deprel=float(penalties_doc.get("near_miss_deprel", 0.01)),
-            minor_mismatch=float(penalties_doc.get("minor_mismatch", 0.02)),
-            p_max=float(penalties_doc.get("p_max", 0.95)),
-        )
+        penalties = PenaltySchedule(**{
+            f.name: float(penalties_doc.get(f.name, f.default))
+            for f in fields(PenaltySchedule)})
     except ValueError as err:
-        raise ConfigError(str(err))
+        raise ConfigError(f"evaluation.penalties: {err}")
 
     annotation_doc = document.get("annotation", {})
     allowed_upos = frozenset(annotation_doc.get("allowed_upos") or UPOS_TAGS)
@@ -116,6 +101,9 @@ def _build(document: dict) -> ToolkitConfig:
         annotation_doc.get("allowed_deprels") or UD_RELATIONS)
 
     pipeline_doc = document.get("pipeline", {})
+    workers = int(pipeline_doc.get("workers", 1))
+    if workers < 1:
+        raise ConfigError(f"pipeline.workers must be at least 1, got {workers}")
     backend_doc = document.get("backend", {})
     backend = BackendConfig(
         mode=backend_doc.get("mode", "stub"),
@@ -138,6 +126,6 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_upos=allowed_upos,
         allowed_deprels=allowed_deprels,
         backend=backend,
-        workers=int(pipeline_doc.get("workers", 1)),
+        workers=workers,
         agent_retries=int(pipeline_doc.get("agent_retries", 2)),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -121,13 +122,16 @@ class NodeId(tuple):
             return str(self.major)
         return f"{self.major}.{self.minor}"
 
+    _TEXT = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+
     @classmethod
     def parse(cls, text: str) -> "NodeId":
-        text = text.strip()
-        if "." in text:
-            major, _, minor = text.partition(".")
-            return cls(int(major), int(minor))
-        return cls(int(text))
+        """``N`` or ``N.M`` in ASCII digits, N, M >= 1, and nothing else."""
+        match = cls._TEXT.fullmatch(text)
+        if match is None:
+            raise ValueError(f"not a node id: {text!r}")
+        major, minor = match.groups()
+        return cls(int(major), None if minor is None else int(minor))
 
 
 class RootSentinel:
@@ -249,13 +253,13 @@ def mwe_components(pairs: Iterable[tuple[NodeId, str]]) -> dict[NodeId, NodeId]:
     """Present component id -> the dotted node whose span covers it, over
     (id, form) pairs; when two dotted nodes cover a component the later wins."""
     pairs = list(pairs)
-    present = {node for node, _ in pairs}
+    dotted = [(node, form) for node, form in pairs if node.is_dotted]
+    present = {node for node, _ in pairs} if dotted else ()
     covering: dict[NodeId, NodeId] = {}
-    for node, form in pairs:
-        if node.is_dotted:
-            for component in dotted_span(node, form):
-                if component in present:
-                    covering[component] = node
+    for node, form in dotted:
+        for component in dotted_span(node, form):
+            if component in present:
+                covering[component] = node
     return covering
 
 

@@ -14,6 +14,7 @@ so borderline cases like round(2.5) behave as documented.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -52,11 +53,6 @@ class WeightSumInvalid(SpokenUdError):
 def _exact(value: float | int | str) -> Fraction:
     """The decimal value a float's shortest repr denotes, as a fraction."""
     return Fraction(Decimal(str(value)))
-
-
-def half_up(value: Fraction) -> int:
-    """Round to the nearest integer, halves away from zero (non-negative)."""
-    return int(value + Fraction(1, 2))
 
 
 # --- alignment ---------------------------------------------------------------
@@ -188,7 +184,8 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     moves a path at most MAX_RUN - 1 diagonals, so once the banded cost d
     satisfies d * (MAX_RUN - 1) <= w, every path costing at most d, each
     tied optimum included, lies inside the band, and the steps are those of
-    the full matrix. Until then w doubles.
+    the full matrix. A first pass that fails this still costs a real path, so
+    d bounds the optimum, and one pass with w = (MAX_RUN - 1) * d passes it.
     """
     m, n = len(g_norm), len(s_norm)
     if g_norm == s_norm:
@@ -196,40 +193,12 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     # One sentinel ends both sequences: no form matches it, and (m, n)
     # matches it into a virtual row m + 1 at no cost.
     g_norm, s_norm = g_norm + [None], s_norm + [None]
-    g_runs, s_runs = _run_lengths(g_norm), _run_lengths(s_norm)
-    never = m + n + 1  # more than any path costs
+    g_runs, s_runs = _run_lengths(g_norm, s_norm), _run_lengths(s_norm, g_norm)
     w = (MAX_RUN - 1) * max(1, abs(m - n))
-    while True:
-        # Row i keeps cell (i, j) at index j - i + offset; the padding
-        # around the band costs `never`.
-        offset = w + MAX_RUN - 1
-        costs = [[never] * (2 * offset + 1) for _ in range(m + 2)]
-        costs[m + 1][n - m + offset] = 0
-        choice = [[None] * (2 * offset + 1) for _ in range(m + 1)]
-        for i in range(m, -1, -1):
-            row, below, chosen = costs[i], costs[i + 1], choice[i]
-            g, g_run = g_norm[i], g_runs[i]
-            for j in range(min(n, i + w), max(0, i - w) - 1, -1):
-                x = j - i + offset
-                s = s_norm[j]
-                # From the highest rank down, so the lower rank takes a tie.
-                # No form both splits into and merges from the other side.
-                best, step = row[x + 1] + 1, _SKIP_SYSTEM
-                if below[x - 1] + 1 <= best:
-                    best, step = below[x - 1] + 1, _SKIP_GOLD
-                k = s_runs[j].get(g)
-                if k and below[x + k - 1] + 1 <= best:
-                    best, step = below[x + k - 1] + 1, _SYSTEM_SPLIT[k]
-                k = g_run.get(s)
-                if k and costs[i + k][x - k + 1] + 1 <= best:
-                    best, step = costs[i + k][x - k + 1] + 1, _GOLD_SPLIT[k]
-                if g == s and below[x] <= best:
-                    best, step = below[x], _MATCH
-                row[x] = best
-                chosen[x] = step
-        if costs[0][offset] * (MAX_RUN - 1) <= w or w >= max(m, n):
-            break
-        w *= 2
+    d, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, w)
+    if d * (MAX_RUN - 1) > w and w < max(m, n):
+        w = min(max(m, n), (MAX_RUN - 1) * d)
+        _, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, w)
     steps, i, j = [], 0, 0
     while i < m or j < n:
         steps.append(choice[i][j - i + offset])
@@ -238,13 +207,54 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     return steps
 
 
-def _run_lengths(forms: list) -> list[dict[str, int]]:
+def _band_pass(g_norm: list, s_norm: list, g_runs: list, s_runs: list, w: int):
+    """The DP over the cells with |i - j| <= w: the cost of (0, 0), the steps
+    chosen, and the offset at which row i keeps cell (i, j), j - i + offset."""
+    m, n = len(g_norm) - 1, len(s_norm) - 1
+    never = m + n + 1  # more than any path costs; it pads the band
+    offset = w + MAX_RUN - 1
+    costs = [[never] * (2 * offset + 1) for _ in range(m + 2)]
+    costs[m + 1][n - m + offset] = 0
+    choice = [[None] * (2 * offset + 1) for _ in range(m + 1)]
+    for i in range(m, -1, -1):
+        row, below, chosen = costs[i], costs[i + 1], choice[i]
+        g, g_run = g_norm[i], g_runs[i]
+        for j in range(min(n, i + w), max(0, i - w) - 1, -1):
+            x = j - i + offset
+            s = s_norm[j]
+            # From the highest rank down, so the lower rank takes a tie.
+            # No form both splits into and merges from the other side.
+            best, step = row[x + 1] + 1, _SKIP_SYSTEM
+            if below[x - 1] + 1 <= best:
+                best, step = below[x - 1] + 1, _SKIP_GOLD
+            k = s_runs[j].get(g)
+            if k and below[x + k - 1] + 1 <= best:
+                best, step = below[x + k - 1] + 1, _SYSTEM_SPLIT[k]
+            k = g_run.get(s)
+            if k and costs[i + k][x - k + 1] + 1 <= best:
+                best, step = costs[i + k][x - k + 1] + 1, _GOLD_SPLIT[k]
+            if g == s and below[x] <= best:
+                best, step = below[x], _MATCH
+            row[x] = best
+            chosen[x] = step
+    return costs[0][offset], choice, offset
+
+
+def _run_lengths(forms: list, wanted: list) -> list[dict[str, int]]:
     """Per position p, the concatenation of forms[p:p + k] for k = 2..MAX_RUN
-    mapped to k, over runs of non-empty forms. Longer runs make longer
-    strings, so a form equals at most one of them."""
-    return [{"".join(forms[p:p + k]): k for k in range(2, MAX_RUN + 1)
-             if p + k <= len(forms) and all(forms[p:p + k])}
-            for p in range(len(forms))]
+    mapped to k, over runs of non-empty forms, if it is one of the ``wanted``
+    forms. Longer runs make longer strings, so a form equals at most one."""
+    wanted, runs = set(wanted), []
+    for p, joined in enumerate(forms):
+        run = {}
+        for k, following in enumerate(forms[p + 1:p + MAX_RUN], start=2):
+            if not joined or not following:
+                break
+            joined += following
+            if joined in wanted:
+                run[joined] = k
+        runs.append(run)
+    return runs
 
 
 def _attach_dotted_nodes(gold: Sentence, system: Sentence,
@@ -440,7 +450,7 @@ CATASTROPHIC_CLASSES = ("MissingDottedMwe", "ReparandumMisattached",
 @dataclass(frozen=True)
 class PenaltySchedule:
     """Per-issue penalty contributions; catastrophic ones sit in [0.25, 0.6],
-    minor ones in [0.01, 0.05], and P is clipped at p_max."""
+    minor ones in [0.01, 0.05], and P is clipped at p_max in [0, 1]."""
 
     missing_dotted_mwe: float = 0.30
     reparandum_misattached: float = 0.25
@@ -460,6 +470,8 @@ class PenaltySchedule:
                       self.minor_mismatch):
             if not 0.01 <= value <= 0.05:
                 raise ValueError(f"minor contribution {value} outside [0.01, 0.05]")
+        if not 0 <= self.p_max <= 1:
+            raise ValueError(f"p_max {self.p_max} outside [0, 1]")
 
     def contribution(self, issue_class: str) -> float:
         return {
@@ -602,21 +614,29 @@ def flexud_final(components: ComponentScores, weights: Weights,
     """Aggregate component scores under the severity penalty.
 
     raw = sum(w_i * s_i); final = round(raw * (1 - P)) with half-up rounding
-    computed exactly over the decimal values the inputs denote.
+    computed exactly over the decimal values the inputs denote: with integer
+    weights over a denominator D and P = pn / pd in [0, 1], in integers.
     """
-    w = [_exact(value) for value in weights.astuple()]
-    s = components.astuple()
-    raw_exact = sum((wi * si for wi, si in zip(w, s)), start=Fraction(0))
-    p_exact = _exact(severity.P)
-    final = half_up(raw_exact * (1 - p_exact))
+    scaled, D = _scaled_weights(weights.astuple())
+    total = sum(wi * si for wi, si in zip(scaled, components.astuple()))
+    pn, pd = _exact(severity.P).as_integer_ratio()
+    final = (2 * total * (pd - pn) + D * pd) // (2 * D * pd)
     diagnostics = [f"{i.issue_class}({i.severity} {i.contribution:g}): {i.note}"
                    for i in severity.issues]
     for name, value in components.asdict().items():
         if value < 50:
             diagnostics.append(f"component {name} below 50: {value}")
     return FlexScore(components=components, weights=weights,
-                     raw=float(raw_exact), severity=severity,
+                     raw=total / D, severity=severity,
                      final=final, diagnostics=tuple(diagnostics))
+
+
+@functools.lru_cache(maxsize=64)
+def _scaled_weights(weights: tuple[float, ...]) -> tuple[tuple[int, ...], int]:
+    """The exact weights as integers over their least common denominator."""
+    exact = [_exact(w) for w in weights]
+    D = math.lcm(*(w.denominator for w in exact))
+    return tuple(int(w * D) for w in exact), D
 
 
 def evaluate_sentence(gold: Sentence, system: Sentence,

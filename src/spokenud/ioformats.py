@@ -9,6 +9,7 @@ places so golden files diff cleanly.
 
 from __future__ import annotations
 
+import functools
 import json
 import urllib.parse
 from dataclasses import dataclass, field
@@ -68,15 +69,18 @@ def format_score(value: float) -> str:
     return f"{value:.3f}"
 
 
+# Ids, heads and anchors repeat across rows and files, so parses are shared.
+_node_id = functools.lru_cache(maxsize=4096)(NodeId.parse)
+
+
+def _index(text: str) -> int:
+    """A count or position: ASCII digits ([0-9]+) and nothing else."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 # --- CoNLL-U ----------------------------------------------------------------
-
-def _misc_encode(text: str) -> str:
-    return urllib.parse.quote(text, safe="")
-
-
-def _misc_decode(text: str) -> str:
-    return urllib.parse.unquote(text)
-
 
 def _token_misc(token: Token) -> str:
     parts: list[str] = []
@@ -93,11 +97,11 @@ def _token_misc(token: Token) -> str:
     if token.penalty:
         parts.append(f"Penalty={format_score(token.penalty)}")
     if token.notes:
-        parts.append(f"Notes={_misc_encode(token.notes)}")
+        parts.append(f"Notes={urllib.parse.quote(token.notes, safe='')}")
     return "|".join(parts) if parts else "_"
 
 
-def _parse_misc(misc: str, line_no: int) -> dict:
+def _parse_misc(misc: str) -> dict:
     fields: dict = {}
     if misc == "_":
         return fields
@@ -110,15 +114,15 @@ def _parse_misc(misc: str, line_no: int) -> dict:
         elif key == "SpokenLabel":
             fields["spoken_label"] = value
         elif key == "SpokenAnchor":
-            fields["spoken_anchor"] = NodeId.parse(value)
+            fields["spoken_anchor"] = _node_id(value)
         elif key == "OrigIndex":
-            fields["orig_token_index"] = int(value)
+            fields["orig_token_index"] = _index(value)
         elif key.startswith("Conf:"):
             fields.setdefault("confidences", {})[key[5:]] = float(value)
         elif key == "Penalty":
             fields["penalty"] = float(value)
         elif key == "Notes":
-            fields["notes"] = _misc_decode(value)
+            fields["notes"] = urllib.parse.unquote(value)
     return fields
 
 
@@ -174,7 +178,7 @@ def _parse_block(block: list[tuple[int, str]]) -> Sentence:
         if "-" in columns[0]:
             start = columns[0].split("-", 1)[0]
             try:
-                mwt_lines.append((int(start), tuple(columns)))
+                mwt_lines.append((_index(start), tuple(columns)))
             except ValueError:
                 raise MalformedLine(line_no, line, "bad multiword token range")
             continue
@@ -191,7 +195,7 @@ def _parse_block(block: list[tuple[int, str]]) -> Sentence:
 def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
     id_col, form, lemma, upos, _xpos, _feats, head_col, deprel, _deps, misc = columns
     try:
-        node_id = NodeId.parse(id_col)
+        node_id = _node_id(id_col)
     except ValueError:
         raise MalformedLine(line_no, line, f"bad node id {id_col!r}")
     if head_col == "_":
@@ -200,10 +204,9 @@ def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
         head = ROOT
     else:
         try:
-            head = NodeId.parse(head_col)
+            head = _node_id(head_col)
         except ValueError:
             raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
-    extra = _parse_misc(misc, line_no)
     try:
         return Token(
             id=node_id,
@@ -212,7 +215,7 @@ def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
             upos=None if upos == "_" else upos,
             head=head,
             deprel=None if deprel == "_" else deprel,
-            **extra,
+            **_parse_misc(misc),
         )
     except ValueError as err:
         raise MalformedLine(line_no, line, str(err))
@@ -384,34 +387,32 @@ def parse_sheet(text: str) -> list[Sentence]:
 
 
 def _sheet_group_to_sentence(sid: str, rows: list[tuple[int, list[str]]]) -> Sentence:
-    sheet_ids = [int(cells[4]) for _, cells in rows]
+    sheet_ids = [_sheet_number(line_no, cells[4], "sheet_ID", len(rows))
+                 for line_no, cells in rows]
     if sheet_ids != list(range(1, len(rows) + 1)):
         raise MalformedLine(rows[0][0], rows[0][1][4],
                             f"sheet ids for {sid} are not contiguous 1..N")
-    form_by_sheet = {int(cells[4]): cells[5] for _, cells in rows}
+    forms = ["root"] + [cells[5] for _, cells in rows]
     tokens: list[Token] = []
     for line_no, cells in rows:
         (_, orig, split_token, id_text, _, form, lemma, upos,
          head_id, sheet_head, head_text, deprel, conf, penalty, note) = cells
         if sheet_head:
-            if not sheet_head.isdigit() or int(sheet_head) > len(rows):
-                raise MalformedLine(line_no, sheet_head,
-                                    f"sheet_HEAD_ID must be in 0..{len(rows)}")
-            expected = "root" if sheet_head == "0" else form_by_sheet[int(sheet_head)]
+            expected = forms[_sheet_number(line_no, sheet_head, "sheet_HEAD_ID", len(rows))]
             if head_text != expected:
                 raise InconsistentHeadForm(line_no, head_text, expected)
         try:
             if head_id == "0":
                 head: NodeId | RootSentinel | None = ROOT
             elif head_id:
-                head = NodeId.parse(head_id)
+                head = _node_id(head_id)
             else:
                 head = None
             confidences = {"final": float(conf)} if conf else {}
             tokens.append(Token(
-                id=NodeId.parse(id_text),
+                id=_node_id(id_text),
                 form=split_token,
-                orig_token_index=int(orig) if orig else None,
+                orig_token_index=_index(orig) if orig else None,
                 lemma=lemma or None,
                 upos=upos or None,
                 head=head,
@@ -423,6 +424,16 @@ def _sheet_group_to_sentence(sid: str, rows: list[tuple[int, list[str]]]) -> Sen
         except ValueError as err:
             raise MalformedLine(line_no, "\t".join(cells), str(err))
     return Sentence(sentence_id=sid, tokens=tuple(tokens))
+
+
+def _sheet_number(line_no: int, text: str, column: str, top: int) -> int:
+    try:
+        value = _index(text)
+    except ValueError:  # not digits, or too many for int()
+        value = -1
+    if not 0 <= value <= top:
+        raise MalformedLine(line_no, text, f"{column} must be in 0..{top}")
+    return value
 
 
 # --- benchmark manifest -----------------------------------------------------

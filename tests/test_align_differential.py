@@ -119,6 +119,27 @@ def test_banded_alignment_equals_full_matrix_reference(pair):
     assert_same_as_reference(*pair)
 
 
+def unfiltered_run_lengths(forms):
+    """The run table before filtering: every concatenation of 2..MAX_RUN
+    consecutive non-empty forms."""
+    return [{"".join(forms[p:p + k]): k for k in range(2, flexud.MAX_RUN + 1)
+             if p + k <= len(forms) and all(forms[p:p + k])}
+            for p in range(len(forms))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pairs())
+def test_filtered_run_table_answers_every_lookup_of_an_other_side_form(pair):
+    gold, system = (norms(sentence) + [None] for sentence in pair)
+    for forms, other in ((gold, system), (system, gold)):
+        full = unfiltered_run_lengths(forms)
+        # Other-side forms rarely equal a long run, so ask for every run too.
+        for wanted in (other, other + [run for runs in full for run in runs]):
+            lookups = [[runs.get(form) for form in wanted]
+                       for runs in flexud._run_lengths(forms, wanted)]
+            assert lookups == [[runs.get(form) for form in wanted] for runs in full]
+
+
 def plain(forms, sid="p"):
     return Sentence(sid, tuple(
         Token(id=NodeId(i), form=form, upos="NOUN",
@@ -135,16 +156,39 @@ def test_a_split_may_beat_the_leading_exact_match():
     assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
 
 
-def test_band_doubles_when_the_cost_is_large_and_the_lengths_close():
-    # Equal lengths, but the cheapest path shifts by 10 diagonals.
-    tail = [f"x{i}" for i in range(20)]
-    head = [f"a{i}" for i in range(10)]
-    gold, system = tail + head, head + tail
-    steps = flexud._align_integer_runs(gold, system)
+def band_passes(gold, system):
+    """The steps, and the (width, banded cost) of each DP pass."""
+    passes, band_pass = [], flexud._band_pass
+
+    def spy(*args):
+        result = band_pass(*args)
+        passes.append((args[-1], result[0]))
+        return result
+
+    with mock.patch.object(flexud, "_band_pass", spy):
+        return flexud._align_integer_runs(gold, system), passes
+
+
+def test_band_widens_once_when_the_first_pass_cost_exceeds_the_optimum():
+    # Equal lengths, but the cheapest path moves a block of forms.
+    def moved(n_before, n_moved, n_over):
+        before = [f"p{i}" for i in range(n_before)]
+        block = [f"a{i}" for i in range(n_moved)]
+        over = [f"x{i}" for i in range(n_over)]
+        return before + over + block + before, before + block + over + before
+
+    # Within the starting band of 3 diagonals the cheapest path costs 60, so
+    # the one further pass is the whole matrix of 30, not 3 * 60 diagonals.
+    gold, system = moved(0, 10, 20)
+    steps, passes = band_passes(gold, system)
+    assert passes == [(3, 60), (30, 20)]
     assert steps == reference_steps(gold, system)
-    # Within the starting band of 3 diagonals the cheapest path costs 60.
-    assert sum(step[0] != "match" for step in steps) == 20
     assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
+    # Here 3 * 26 diagonals are fewer than the whole matrix.
+    gold, system = moved(60, 5, 8)
+    steps, passes = band_passes(gold, system)
+    assert passes == [(3, 26), (78, 10)]
+    assert steps == reference_steps(gold, system)
 
 
 def test_400_token_pair_with_20_edits():

@@ -265,6 +265,17 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_fewer_than_one_worker_is_a_usage_error(tmp_path, manifest_path, capsys,
+                                                workers):
+    with pytest.raises(SystemExit) as err:
+        main(["parse", "--manifest", str(manifest_path), "--out", str(tmp_path / "o"),
+              "--backend-mode", "stub", "--workers", workers])
+    assert err.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_backend_misconfiguration_exit_code(tmp_path, manifest_path, capsys):
     # replay mode without a replay directory is a backend error: exit 3
     assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",

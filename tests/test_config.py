@@ -59,6 +59,19 @@ def test_out_of_band_penalty_rejected(tmp_path):
         load_config(user)
 
 
+@pytest.mark.parametrize("document, key", [
+    ("evaluation:\n  penalties: {p_max: -0.5}\n", "evaluation.penalties: p_max"),
+    ("evaluation:\n  penalties: {p_max: 1.5}\n", "evaluation.penalties: p_max"),
+    ("pipeline:\n  workers: 0\n", "pipeline.workers"),
+    ("pipeline:\n  workers: -3\n", "pipeline.workers"),
+])
+def test_out_of_range_value_names_its_key(tmp_path, document, key):
+    user = tmp_path / "user.yaml"
+    user.write_text(document, encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(user)
+
+
 def test_missing_config_file_errors():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.yaml")

@@ -2,7 +2,7 @@
 replaced (``eval_reference``).
 
 Over random pairs, non-default tolerance credits, weights and penalty
-schedules (a negative ``p_max`` included), both must give the same
+schedules (``p_max`` at both ends of [0, 1] included), both must give the same
 component scores, standard scores, severity report and final score.
 Fixed cases pin the half-up boundaries the integer rounding must keep and
 the identical-forms shortcut of the alignment.
@@ -32,7 +32,8 @@ SCHEDULES = [PenaltySchedule(),
              PenaltySchedule(missing_dotted_mwe=0.35, minor_mismatch=0.03,
                              tolerant_upos_substitution=0.05, p_max=0.7),
              PenaltySchedule(p_max=0.0),
-             PenaltySchedule(p_max=-0.1)]
+             PenaltySchedule(p_max=1.0),
+             PenaltySchedule(p_max=0.03)]
 
 
 @st.composite

@@ -341,6 +341,9 @@ def test_contribution_bands_enforced():
         PenaltySchedule(missing_dotted_mwe=0.7)
     with pytest.raises(ValueError):
         PenaltySchedule(minor_mismatch=0.2)
+    for p_max in (-0.5, 1.01):
+        with pytest.raises(ValueError, match="p_max"):
+            PenaltySchedule(p_max=p_max)
 
 
 def _gold_subtrees_recursive(gold):
