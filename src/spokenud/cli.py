@@ -117,6 +117,9 @@ def main(argv=None) -> int:
     except SpokenUdError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
+        return 1
 
 
 def _apply_backend_flags(config: ToolkitConfig, args) -> ToolkitConfig:
@@ -313,35 +316,39 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = [json.loads(line)
-               for line in _read(args.results).splitlines() if line.strip()]
     standard_results = []
     flex_results = []
-    for record in records:
-        category = (Category.from_label(record["category"])
-                    if record.get("category") else None)
-        counts = record["standard"]["counts"]
-        standard_results.append(SentenceResult(
-            record["sentence_id"], category,
-            StandardScores.from_counts(AttachmentCounts(**counts))))
-        flex = record["flexud"]
-        flex_results.append(FlexResult(
-            record["sentence_id"], category,
-            FlexScore(
-                components=ComponentScores(flex["split"], flex["id"],
-                                           flex["upos"], flex["head"],
-                                           flex["deprel"]),
-                weights=None,
-                raw=flex["raw"],
-                severity=SeverityReport((), flex["P"]),
-                final=flex["final"],
-                diagnostics=tuple(flex.get("diagnostics", ())),
-            )))
+    for number, line in enumerate(_read(args.results).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            standard, flex = _report_results(json.loads(line))
+        except (SpokenUdError, ValueError, LookupError, TypeError, AttributeError) as err:
+            raise SpokenUdError(f"{args.results} line {number}: not an eval "
+                                f"record: {err!r}") from None
+        standard_results.append(standard)
+        flex_results.append(flex)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_tables(out, args.metric, standard_results, flex_results)
-    print(f"rendered tables for {len(records)} sentences into {out}")
+    print(f"rendered tables for {len(flex_results)} sentences into {out}")
     return 0
+
+
+def _report_results(record: dict) -> tuple[SentenceResult, FlexResult]:
+    """The results a per_sentence.jsonl record holds; the tables sum its ints."""
+    sid, counts, flex = record["sentence_id"], record["standard"]["counts"], record["flexud"]
+    scores = [flex[key] for key in ("split", "id", "upos", "head", "deprel", "final")]
+    if not isinstance(sid, str) or any(type(n) is not int
+                                       for n in (*counts.values(), *scores)):
+        raise ValueError("sentence_id must be a string, counts and scores integers")
+    category = (Category.from_label(record["category"])
+                if record.get("category") else None)
+    standard = StandardScores.from_counts(AttachmentCounts(**counts))
+    score = FlexScore(components=ComponentScores(*scores[:5]), weights=None,
+                      raw=flex["raw"], severity=SeverityReport((), flex["P"]),
+                      final=scores[5], diagnostics=tuple(flex.get("diagnostics", ())))
+    return SentenceResult(sid, category, standard), FlexResult(sid, category, score)
 
 
 if __name__ == "__main__":

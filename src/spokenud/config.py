@@ -44,25 +44,34 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _default_document() -> dict:
-    text = resources.files("spokenud.data").joinpath("default_config.yaml") \
-        .read_text("utf-8")
-    return yaml.safe_load(text)
+def _load_yaml(text: str):
+    """The document in ``text``, parsed by libyaml when PyYAML has it."""
+    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def load_config(path: str | Path | None = None) -> ToolkitConfig:
     """Build the toolkit configuration from the shipped defaults, optionally
     merged with a user YAML file of the same structure."""
-    document = _default_document()
+    document = _load_yaml(resources.files("spokenud.data")
+                          .joinpath("default_config.yaml").read_text("utf-8"))
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
-        user = yaml.safe_load(path.read_text("utf-8")) or {}
+        user = _load_yaml(path.read_text("utf-8")) or {}
         if not isinstance(user, dict):
             raise ConfigError(f"config file must hold a mapping: {path}")
         document = _deep_merge(document, user)
     return _build(document)
+
+
+def _number(doc: dict, key: str, default, kind=float):
+    """The value of dotted ``key``'s last part in ``doc``, or ``default``."""
+    value = doc.get(key.rpartition(".")[2], default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _build(document: dict) -> ToolkitConfig:
@@ -70,8 +79,8 @@ def _build(document: dict) -> ToolkitConfig:
     weights_doc = evaluation.get("weights", {})
     try:
         # Field w_split reads key split, and so on.
-        weights = Weights(**{f.name: float(weights_doc.get(f.name[2:], f.default))
-                             for f in fields(Weights)})
+        weights = Weights(**{f.name: _number(weights_doc, f"evaluation.weights.{f.name[2:]}",
+                                             f.default) for f in fields(Weights)})
     except SpokenUdError as err:
         raise ConfigError(str(err))
 
@@ -81,8 +90,8 @@ def _build(document: dict) -> ToolkitConfig:
                              for pair in tolerance_doc.get("upos_pairs", [])),
         deprel_classes=tuple(frozenset(cls)
                              for cls in tolerance_doc.get("deprel_classes", [])),
-        upos_credit=float(tolerance_doc.get("upos_credit", 0.8)),
-        deprel_credit=float(tolerance_doc.get("deprel_credit", 0.8)),
+        upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit", 0.8),
+        deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit", 0.8),
         contraction_table={str(k): str(v) for k, v in
                            tolerance_doc.get("contractions", {}).items()},
     )
@@ -90,7 +99,7 @@ def _build(document: dict) -> ToolkitConfig:
     penalties_doc = evaluation.get("penalties", {})
     try:
         penalties = PenaltySchedule(**{
-            f.name: float(penalties_doc.get(f.name, f.default))
+            f.name: _number(penalties_doc, f"evaluation.penalties.{f.name}", f.default)
             for f in fields(PenaltySchedule)})
     except ValueError as err:
         raise ConfigError(f"evaluation.penalties: {err}")
@@ -101,7 +110,7 @@ def _build(document: dict) -> ToolkitConfig:
         annotation_doc.get("allowed_deprels") or UD_RELATIONS)
 
     pipeline_doc = document.get("pipeline", {})
-    workers = int(pipeline_doc.get("workers", 1))
+    workers = _number(pipeline_doc, "pipeline.workers", 1, int)
     if workers < 1:
         raise ConfigError(f"pipeline.workers must be at least 1, got {workers}")
     backend_doc = document.get("backend", {})
@@ -109,12 +118,12 @@ def _build(document: dict) -> ToolkitConfig:
         mode=backend_doc.get("mode", "stub"),
         base_url=backend_doc.get("base_url", "https://api.openai.com/v1"),
         model_name=backend_doc.get("model_name", "gpt-4.1"),
-        temperature=float(backend_doc.get("temperature", 0.0)),
-        max_tokens=int(backend_doc.get("max_tokens", 4096)),
-        timeout_s=float(backend_doc.get("timeout_s", 60.0)),
-        retries=int(backend_doc.get("retries", 2)),
+        temperature=_number(backend_doc, "backend.temperature", 0.0),
+        max_tokens=_number(backend_doc, "backend.max_tokens", 4096, int),
+        timeout_s=_number(backend_doc, "backend.timeout_s", 60.0),
+        retries=_number(backend_doc, "backend.retries", 2, int),
         replay_dir=backend_doc.get("replay_dir"),
-        max_in_flight=int(backend_doc.get("max_in_flight", 4)),
+        max_in_flight=_number(backend_doc, "backend.max_in_flight", 4, int),
         auth_env_var=backend_doc.get("auth_env_var", "SPOKENUD_API_KEY"),
     )
 
@@ -127,5 +136,5 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_deprels=allowed_deprels,
         backend=backend,
         workers=workers,
-        agent_retries=int(pipeline_doc.get("agent_retries", 2)),
+        agent_retries=_number(pipeline_doc, "pipeline.agent_retries", 2, int),
     )

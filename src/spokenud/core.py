@@ -264,8 +264,10 @@ def mwe_components(pairs: Iterable[tuple[NodeId, str]]) -> dict[NodeId, NodeId]:
 
 
 def mwe_component_ids(sentence: Sentence) -> set[NodeId]:
-    """Integer node ids covered by a dotted MWE node's span."""
-    return set(mwe_components((t.id, t.form) for t in sentence.tokens))
+    """Present integer node ids covered by a dotted MWE node's span."""
+    dotted = [t for t in sentence.tokens if t.id.is_dotted]
+    present = {t.id for t in sentence.tokens} if dotted else ()
+    return {c for t in dotted for c in dotted_span(t.id, t.form) if c in present}
 
 
 def annotatable_tokens(sentence: Sentence) -> list[Token]:

@@ -23,13 +23,13 @@ from typing import Iterable, Sequence
 from .core import (
     Category,
     NodeId,
+    RootSentinel,
     Sentence,
     SpokenUdError,
     annotatable_tokens,
     base_deprel,
     dotted_span,
-    validate_tree,
-    IssueCode,
+    head_cycles,
 )
 from .metrics import head_matches, resolve_head
 from .reporting import Table
@@ -149,14 +149,15 @@ def align_tokens(gold: Sentence, system: Sentence,
     table = tolerance.contraction_table
     gold_ints = [t for t in gold.tokens if not t.id.is_dotted]
     system_ints = [t for t in system.tokens if not t.id.is_dotted]
-    g_norm = [normalize_form(t.form, table) for t in gold_ints]
-    s_norm = [normalize_form(t.form, table) for t in system_ints]
+    norm = {f: normalize_form(f, table) for f in {t.form for t in gold_ints + system_ints}}
+    gold_ids = tuple(t.id for t in gold_ints)
+    system_ids = tuple(t.id for t in system_ints)
 
     links: list[AlignmentLink] = []
     gi = si = 0
-    for action, g_run, s_run in _align_integer_runs(g_norm, s_norm):
-        links.append(AlignmentLink(tuple(t.id for t in gold_ints[gi:gi + g_run]),
-                                   tuple(t.id for t in system_ints[si:si + s_run]),
+    for action, g_run, s_run in _align_integer_runs(
+            [norm[t.form] for t in gold_ints], [norm[t.form] for t in system_ints]):
+        links.append(AlignmentLink(gold_ids[gi:gi + g_run], system_ids[si:si + s_run],
                                    _LINK_KIND.get(action, action)))
         gi += g_run
         si += s_run
@@ -180,12 +181,13 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     A match costs 0; a skip, or a split or merge of up to MAX_RUN non-empty
     forms, costs 1. At equal suffix cost the DP prefers an exact match, then
     the shorter split/merge run, then skipping gold, then skipping system.
-    Only the cells with |i - j| <= w are computed and kept. One unit of cost
-    moves a path at most MAX_RUN - 1 diagonals, so once the banded cost d
-    satisfies d * (MAX_RUN - 1) <= w, every path costing at most d, each
-    tied optimum included, lies inside the band, and the steps are those of
-    the full matrix. A first pass that fails this still costs a real path, so
-    d bounds the optimum, and one pass with w = (MAX_RUN - 1) * d passes it.
+    Only the cells with -lo <= j - i <= hi are computed and kept. A unit of
+    cost moves a path at most MAX_RUN - 1 = 3 diagonals, and a path must come
+    back to its end diagonal delta = n - m, so one costing at most d reaches
+    no diagonal above (3d + delta) / 2 or below -(3d - delta) / 2. The first
+    pass, over |j - i| <= w, costs a real path, so its cost d bounds the
+    optimum: if that reach lies inside the band, so does each tied optimum and
+    the steps are those of the full matrix; if not, one last pass over it is.
     """
     m, n = len(g_norm), len(s_norm)
     if g_norm == s_norm:
@@ -195,10 +197,11 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     g_norm, s_norm = g_norm + [None], s_norm + [None]
     g_runs, s_runs = _run_lengths(g_norm, s_norm), _run_lengths(s_norm, g_norm)
     w = (MAX_RUN - 1) * max(1, abs(m - n))
-    d, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, w)
-    if d * (MAX_RUN - 1) > w and w < max(m, n):
-        w = min(max(m, n), (MAX_RUN - 1) * d)
-        _, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, w)
+    d, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, w, w)
+    reach, delta = (MAX_RUN - 1) * d, n - m
+    lo, hi = min(m, (reach - delta) // 2), min(n, (reach + delta) // 2)
+    if lo > w or hi > w:
+        _, choice, offset = _band_pass(g_norm, s_norm, g_runs, s_runs, lo, hi)
     steps, i, j = [], 0, 0
     while i < m or j < n:
         steps.append(choice[i][j - i + offset])
@@ -207,52 +210,62 @@ def _align_integer_runs(g_norm: list[str], s_norm: list[str]):
     return steps
 
 
-def _band_pass(g_norm: list, s_norm: list, g_runs: list, s_runs: list, w: int):
-    """The DP over the cells with |i - j| <= w: the cost of (0, 0), the steps
-    chosen, and the offset at which row i keeps cell (i, j), j - i + offset."""
+def _band_pass(g_norm: list, s_norm: list, g_runs: list, s_runs: list, lo: int, hi: int):
+    """The DP over the cells with -lo <= j - i <= hi: the cost of (0, 0), the
+    steps chosen, and the offset at which row i keeps cell (i, j), j - i + offset."""
     m, n = len(g_norm) - 1, len(s_norm) - 1
     never = m + n + 1  # more than any path costs; it pads the band
-    offset = w + MAX_RUN - 1
-    costs = [[never] * (2 * offset + 1) for _ in range(m + 2)]
+    offset = lo + MAX_RUN - 1
+    costs = [[never] * (offset + hi + MAX_RUN) for _ in range(m + 2)]
     costs[m + 1][n - m + offset] = 0
-    choice = [[None] * (2 * offset + 1) for _ in range(m + 1)]
+    choice = [[None] * (offset + hi + MAX_RUN) for _ in range(m + 1)]
     for i in range(m, -1, -1):
         row, below, chosen = costs[i], costs[i + 1], choice[i]
         g, g_run = g_norm[i], g_runs[i]
-        for j in range(min(n, i + w), max(0, i - w) - 1, -1):
-            x = j - i + offset
-            s = s_norm[j]
+        top = min(n, i + hi)
+        x = top - i + offset
+        # Cells (i, j + 1) and (i + 1, j + 1), carried from the cell before.
+        right, diagonal = never, below[x]
+        for j in range(top, max(0, i - lo) - 1, -1):
+            s, down = s_norm[j], below[x - 1]
             # From the highest rank down, so the lower rank takes a tie.
             # No form both splits into and merges from the other side.
-            best, step = row[x + 1] + 1, _SKIP_SYSTEM
-            if below[x - 1] + 1 <= best:
-                best, step = below[x - 1] + 1, _SKIP_GOLD
-            k = s_runs[j].get(g)
-            if k and below[x + k - 1] + 1 <= best:
-                best, step = below[x + k - 1] + 1, _SYSTEM_SPLIT[k]
-            k = g_run.get(s)
-            if k and costs[i + k][x - k + 1] + 1 <= best:
-                best, step = costs[i + k][x - k + 1] + 1, _GOLD_SPLIT[k]
-            if g == s and below[x] <= best:
-                best, step = below[x], _MATCH
-            row[x] = best
+            best, step = right + 1, _SKIP_SYSTEM
+            if down <= right:
+                best, step = down + 1, _SKIP_GOLD
+            s_run = s_runs[j]
+            if s_run:
+                k = s_run.get(g)
+                if k and below[x + k - 1] + 1 <= best:
+                    best, step = below[x + k - 1] + 1, _SYSTEM_SPLIT[k]
+            if g_run:
+                k = g_run.get(s)
+                if k and costs[i + k][x - k + 1] + 1 <= best:
+                    best, step = costs[i + k][x - k + 1] + 1, _GOLD_SPLIT[k]
+            if g == s and diagonal <= best:
+                best, step = diagonal, _MATCH
+            row[x] = right = best
             chosen[x] = step
+            diagonal, x = down, x - 1
     return costs[0][offset], choice, offset
 
 
 def _run_lengths(forms: list, wanted: list) -> list[dict[str, int]]:
     """Per position p, the concatenation of forms[p:p + k] for k = 2..MAX_RUN
     mapped to k, over runs of non-empty forms, if it is one of the ``wanted``
-    forms. Longer runs make longer strings, so a form equals at most one."""
+    forms. Longer runs make longer strings, so a form equals at most one, and
+    a run that does starts with a proper prefix of it."""
     wanted, runs = set(wanted), []
+    starts = {form[:i] for form in wanted if form for i in range(1, len(form))}
     for p, joined in enumerate(forms):
         run = {}
-        for k, following in enumerate(forms[p + 1:p + MAX_RUN], start=2):
-            if not joined or not following:
-                break
-            joined += following
-            if joined in wanted:
-                run[joined] = k
+        if joined in starts:
+            for k, following in enumerate(forms[p + 1:p + MAX_RUN], start=2):
+                if not following:
+                    break
+                joined += following
+                if joined in wanted:
+                    run[joined] = k
         runs.append(run)
     return runs
 
@@ -320,8 +333,8 @@ def _ordered(links: list[AlignmentLink], gold: Sentence,
 
     def key(link: AlignmentLink):
         if link.gold_ids:
-            return (0, min(gold_pos[g] for g in link.gold_ids), 0)
-        return (1, 0, min(system_pos[s] for s in link.system_ids))
+            return (0, min(map(gold_pos.__getitem__, link.gold_ids)), 0)
+        return (1, 0, min(map(system_pos.__getitem__, link.system_ids)))
 
     return sorted(links, key=key)
 
@@ -531,16 +544,13 @@ def detect_severity(gold: Sentence, system: Sentence, alignment: Alignment,
             add("InvalidHeadPersisting", (token.id,),
                 f"system head {token.head} of {token.id} does not exist")
 
-    report = validate_tree(system)
-    root_problem = [i for i in report.issues
-                    if i.code in (IssueCode.MULTIPLE_ROOTS, IssueCode.NO_ROOT)]
-    if root_problem:
-        add("MultipleRootsOrCycle",
-            tuple(n for issue in root_problem for n in issue.node_ids),
+    roots = [t.id for t in system.tokens if isinstance(t.head, RootSentinel)]
+    if len(roots) != 1:
+        add("MultipleRootsOrCycle", roots,
             "system parse does not have exactly one root")
-    for issue in report.issues:
-        if issue.code == IssueCode.CYCLE:
-            add("MultipleRootsOrCycle", issue.node_ids, issue.message)
+    for cycle in head_cycles(system.tokens, system_ids):
+        add("MultipleRootsOrCycle", cycle,
+            "head links form a cycle: " + ", ".join(map(str, cycle)))
 
     gold_by_id = gold.token_index()
     annotatable = annotatable_tokens(gold)

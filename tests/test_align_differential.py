@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,12 +158,12 @@ def test_a_split_may_beat_the_leading_exact_match():
 
 
 def band_passes(gold, system):
-    """The steps, and the (width, banded cost) of each DP pass."""
+    """The steps, and the ((lo, hi), banded cost) of each DP pass."""
     passes, band_pass = [], flexud._band_pass
 
     def spy(*args):
         result = band_pass(*args)
-        passes.append((args[-1], result[0]))
+        passes.append((args[-2:], result[0]))
         return result
 
     with mock.patch.object(flexud, "_band_pass", spy):
@@ -178,17 +179,70 @@ def test_band_widens_once_when_the_first_pass_cost_exceeds_the_optimum():
         return before + over + block + before, before + block + over + before
 
     # Within the starting band of 3 diagonals the cheapest path costs 60, so
-    # the one further pass is the whole matrix of 30, not 3 * 60 diagonals.
+    # the one further pass is the whole matrix of 30, not 3 * 60 / 2 diagonals.
     gold, system = moved(0, 10, 20)
     steps, passes = band_passes(gold, system)
-    assert passes == [(3, 60), (30, 20)]
+    assert passes == [((3, 3), 60), ((30, 30), 20)]
     assert steps == reference_steps(gold, system)
     assert_same_as_reference(plain(gold, "g"), plain(system, "s"))
-    # Here 3 * 26 diagonals are fewer than the whole matrix.
+    # Here a path of cost 26 that goes out and comes back to diagonal 0
+    # reaches at most 3 * 26 / 2 diagonals either way.
     gold, system = moved(60, 5, 8)
     steps, passes = band_passes(gold, system)
-    assert passes == [(3, 26), (78, 10)]
+    assert passes == [((3, 3), 26), ((39, 39), 10)]
     assert steps == reference_steps(gold, system)
+
+
+def out_and_back(out, back, short):
+    """A pair whose preferred optimum goes out as far as its cost allows and
+    comes back: ``out`` gold forms "aaaa" split into four system "a" each
+    (3 diagonals up per unit of cost), then gold "a" runs merge into
+    ``back`` system "aaaa" (3 down) and ``short`` system "aaa" (2 down). An
+    equally cheap path stays near diagonal 0, so the first pass already
+    costs the optimum, yet the optimum the tie rule picks leaves its band."""
+    gold = ["aaaa"] * out + ["a"] * (4 * back + 3 * short)
+    system = ["a"] * (4 * out) + ["aaaa"] * back + ["aaa"] * short
+    return gold, system
+
+
+def diagonals(steps):
+    i = j = 0
+    for _, g_run, s_run in steps:
+        i, j = i + g_run, j + s_run
+        yield j - i
+
+
+# (out, back, short), then the passes as ((lo, hi), cost): the reach of the
+# first pass's cost d is lo = (3d - delta) // 2, hi = (3d + delta) // 2.
+BAND_EDGE_CASES = [
+    ((2, 2, 0), [((3, 3), 4), ((6, 6), 4)]),        # delta 0
+    ((2, 1, 1), [((3, 3), 4), ((5, 6), 4)]),        # delta 1
+    ((3, 3, 1), [((6, 6), 7), ((11, 9), 7)]),       # delta -2
+    ((4, 3, 0), [((9, 9), 7), ((9, 12), 7)]),       # delta 3
+    ((5, 3, 1), [((12, 12), 9), ((11, 15), 9)]),    # delta 4
+    ((4, 5, 1), [((15, 15), 10), ((17, 12), 10)]),  # delta -5
+]
+
+
+@pytest.mark.parametrize("shape, passes", BAND_EDGE_CASES)
+def test_the_last_pass_reaches_an_optimum_touching_its_upper_edge(shape, passes):
+    gold, system = out_and_back(*shape)
+    steps, seen = band_passes(gold, system)
+    assert steps == reference_steps(gold, system)
+    assert seen == passes
+    (lo, hi), _ = passes[-1]
+    assert max(diagonals(steps)) == hi
+
+
+@pytest.mark.parametrize("shape, passes", BAND_EDGE_CASES)
+def test_the_last_pass_reaches_an_optimum_touching_its_lower_edge(shape, passes):
+    system, gold = out_and_back(*shape)
+    steps, seen = band_passes(gold, system)
+    assert steps == reference_steps(gold, system)
+    # Swapping the sides mirrors the diagonals.
+    assert seen == [((hi, lo), cost) for (lo, hi), cost in passes]
+    (lo, hi), _ = seen[-1]
+    assert min(diagonals(steps)) == -lo
 
 
 def test_400_token_pair_with_20_edits():

@@ -442,3 +442,37 @@ def test_failures_jsonl_records_attempts_and_violations(
             "schema: 'tokens' is a required property at <root>"]
         assert failure["error"].startswith(
             f"SPH output invalid after {attempts} attempts: schema: ")
+
+
+# --- missing inputs and bad result records ----------------------------------------
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{missing}"],
+    ["eval", "--gold", "{missing}", "--system", GOLD, "--out", "{out}"],
+    ["eval", "--gold", GOLD, "--system", "{missing}", "--out", "{out}"],
+    ["parse", "--manifest", "{missing}", "--out", "{out}", "--backend-mode", "stub"],
+    ["report", "--results", "{missing}", "--out", "{out}"],
+])
+def test_missing_input_path_exits_one_naming_it(tmp_path, capsys, command):
+    missing = tmp_path / "nope.conllu"
+    assert run([str(a).format(missing=missing, out=tmp_path / "out")
+                for a in command]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"sentence_id": "a"', "JSONDecodeError"),
+    ('{"sentence_id": "a"}', "KeyError('standard')"),
+    ('[1, 2]', "TypeError"),
+])
+def test_report_bad_record_exits_one_naming_file_and_line(tmp_path, capsys,
+                                                          line, reason):
+    eval_out = tmp_path / "eval"
+    run(["eval", "--gold", GOLD, "--system", GOLD, "--out", eval_out])
+    results = eval_out / "per_sentence.jsonl"
+    lines = results.read_text("utf-8").splitlines()
+    results.write_text("\n".join(lines[:2] + [line] + lines[2:]), encoding="utf-8")
+    assert run(["report", "--results", results, "--out", tmp_path / "r"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results} line 3: not an eval record: {reason}")

@@ -1,6 +1,12 @@
+import ast
+from importlib import resources
+from pathlib import Path
+
 import pytest
+import yaml
 
 from spokenud.backends import StubBackend, make_backend
+from spokenud.cli import main
 from spokenud.config import ConfigError, load_config
 from spokenud.core import UD_RELATIONS, UPOS_TAGS
 
@@ -70,6 +76,75 @@ def test_out_of_range_value_names_its_key(tmp_path, document, key):
     user.write_text(document, encoding="utf-8")
     with pytest.raises(ConfigError, match=key):
         load_config(user)
+
+
+@pytest.mark.parametrize("document, message", [
+    ("evaluation:\n  weights: {split: x}\n",
+     "evaluation.weights.split: expected float, got 'x'"),
+    ("evaluation:\n  tolerance: {upos_credit: [0.5]}\n",
+     "evaluation.tolerance.upos_credit: expected float, got [0.5]"),
+    ("evaluation:\n  penalties: {p_max: high}\n",
+     "evaluation.penalties.p_max: expected float, got 'high'"),
+    ("pipeline:\n  workers: two\n", "pipeline.workers: expected int, got 'two'"),
+    ("pipeline:\n  agent_retries: null\n",
+     "pipeline.agent_retries: expected int, got None"),
+    ("backend:\n  timeout_s: soon\n", "backend.timeout_s: expected float, got 'soon'"),
+    ("backend:\n  max_tokens: '1.5'\n", "backend.max_tokens: expected int, got '1.5'"),
+])
+def test_non_numeric_value_exits_one_naming_key_and_value(tmp_path, capsys,
+                                                          document, message):
+    user = tmp_path / "user.yaml"
+    user.write_text(document, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(user)
+    assert str(err.value) == message
+    assert main(["--config", str(user), "validate", str(user)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SECTIONS = {"evaluation", "annotation", "pipeline", "backend"}
+
+
+def config_texts() -> list[str]:
+    """The shipped default document and every configuration in tests/: each
+    string literal of a test module that reads as a mapping of config
+    sections."""
+    texts = [resources.files("spokenud.data").joinpath("default_config.yaml")
+             .read_text("utf-8")]
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    document = yaml.safe_load(node.value)
+                except yaml.YAMLError:
+                    continue
+                if isinstance(document, dict) and SECTIONS.issuperset(document):
+                    texts.append(node.value)
+    return texts
+
+
+def test_libyaml_and_python_loaders_give_equal_documents():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    texts = config_texts()
+    assert len(texts) > 10
+    for text in texts:
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader), text
+
+
+def test_config_loads_the_same_without_libyaml(tmp_path, monkeypatch):
+    user = tmp_path / "user.yaml"
+    user.write_text("evaluation:\n  weights: {split: 0.1, id: 0.2, upos: 0.3, "
+                    "head: 0.25, deprel: 0.15}\npipeline: {workers: 3}\n",
+                    encoding="utf-8")
+    expected = [load_config(), load_config(user)]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    loaders, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: (
+        loaders.append(Loader) or load(text, Loader=Loader)))
+    assert [load_config(), load_config(user)] == expected
+    assert loaders == [yaml.SafeLoader] * 3
 
 
 def test_missing_config_file_errors():
