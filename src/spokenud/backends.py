@@ -114,10 +114,10 @@ class ReplayStore:
 
     def load(self, key: str, fingerprint: str) -> str:
         path = self.path_for(key)
-        if not path.exists():
-            raise ReplayMiss(key, fingerprint)
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ReplayMiss(key, fingerprint) from None
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise BackendError(f"corrupt replay record {path}: {err}") from err
         if not isinstance(record, dict) or not isinstance(record.get("raw_response"), str):

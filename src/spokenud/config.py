@@ -74,9 +74,17 @@ def _number(doc: dict, key: str, default, kind=float):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
+def _section(doc: dict, key: str) -> dict:
+    """The mapping at dotted ``key``'s last part in ``doc``, or an empty one."""
+    value = doc.get(key.rpartition(".")[2], {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {type(value).__name__}")
+    return value
+
+
 def _build(document: dict) -> ToolkitConfig:
-    evaluation = document.get("evaluation", {})
-    weights_doc = evaluation.get("weights", {})
+    evaluation = _section(document, "evaluation")
+    weights_doc = _section(evaluation, "evaluation.weights")
     try:
         # Field w_split reads key split, and so on.
         weights = Weights(**{f.name: _number(weights_doc, f"evaluation.weights.{f.name[2:]}",
@@ -84,7 +92,7 @@ def _build(document: dict) -> ToolkitConfig:
     except SpokenUdError as err:
         raise ConfigError(str(err))
 
-    tolerance_doc = evaluation.get("tolerance", {})
+    tolerance_doc = _section(evaluation, "evaluation.tolerance")
     tolerance = ToleranceConfig(
         upos_pairs=frozenset(frozenset(pair)
                              for pair in tolerance_doc.get("upos_pairs", [])),
@@ -92,11 +100,11 @@ def _build(document: dict) -> ToolkitConfig:
                              for cls in tolerance_doc.get("deprel_classes", [])),
         upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit", 0.8),
         deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit", 0.8),
-        contraction_table={str(k): str(v) for k, v in
-                           tolerance_doc.get("contractions", {}).items()},
+        contraction_table={str(k): str(v) for k, v in _section(
+            tolerance_doc, "evaluation.tolerance.contractions").items()},
     )
 
-    penalties_doc = evaluation.get("penalties", {})
+    penalties_doc = _section(evaluation, "evaluation.penalties")
     try:
         penalties = PenaltySchedule(**{
             f.name: _number(penalties_doc, f"evaluation.penalties.{f.name}", f.default)
@@ -104,16 +112,16 @@ def _build(document: dict) -> ToolkitConfig:
     except ValueError as err:
         raise ConfigError(f"evaluation.penalties: {err}")
 
-    annotation_doc = document.get("annotation", {})
+    annotation_doc = _section(document, "annotation")
     allowed_upos = frozenset(annotation_doc.get("allowed_upos") or UPOS_TAGS)
     allowed_deprels = frozenset(
         annotation_doc.get("allowed_deprels") or UD_RELATIONS)
 
-    pipeline_doc = document.get("pipeline", {})
+    pipeline_doc = _section(document, "pipeline")
     workers = _number(pipeline_doc, "pipeline.workers", 1, int)
     if workers < 1:
         raise ConfigError(f"pipeline.workers must be at least 1, got {workers}")
-    backend_doc = document.get("backend", {})
+    backend_doc = _section(document, "backend")
     backend = BackendConfig(
         mode=backend_doc.get("mode", "stub"),
         base_url=backend_doc.get("base_url", "https://api.openai.com/v1"),

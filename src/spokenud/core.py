@@ -9,6 +9,7 @@ never a node id, so renumbering can never collide with it.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 import re
 from collections import deque
@@ -124,14 +125,15 @@ class NodeId(tuple):
 
     _TEXT = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
 
-    @classmethod
-    def parse(cls, text: str) -> "NodeId":
+    @staticmethod
+    @functools.lru_cache(maxsize=4096)
+    def parse(text: str) -> "NodeId":
         """``N`` or ``N.M`` in ASCII digits, N, M >= 1, and nothing else."""
-        match = cls._TEXT.fullmatch(text)
+        match = NodeId._TEXT.fullmatch(text)
         if match is None:
             raise ValueError(f"not a node id: {text!r}")
         major, minor = match.groups()
-        return cls(int(major), None if minor is None else int(minor))
+        return NodeId(int(major), None if minor is None else int(minor))
 
 
 class RootSentinel:

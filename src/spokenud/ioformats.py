@@ -9,7 +9,6 @@ places so golden files diff cleanly.
 
 from __future__ import annotations
 
-import functools
 import json
 import urllib.parse
 from dataclasses import dataclass, field
@@ -69,10 +68,6 @@ def format_score(value: float) -> str:
     return f"{value:.3f}"
 
 
-# Ids, heads and anchors repeat across rows and files, so parses are shared.
-_node_id = functools.lru_cache(maxsize=4096)(NodeId.parse)
-
-
 def _index(text: str) -> int:
     """A count or position: ASCII digits ([0-9]+) and nothing else."""
     if not (text.isascii() and text.isdigit()):
@@ -114,7 +109,7 @@ def _parse_misc(misc: str) -> dict:
         elif key == "SpokenLabel":
             fields["spoken_label"] = value
         elif key == "SpokenAnchor":
-            fields["spoken_anchor"] = _node_id(value)
+            fields["spoken_anchor"] = NodeId.parse(value)
         elif key == "OrigIndex":
             fields["orig_token_index"] = _index(value)
         elif key.startswith("Conf:"):
@@ -195,7 +190,7 @@ def _parse_block(block: list[tuple[int, str]]) -> Sentence:
 def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
     id_col, form, lemma, upos, _xpos, _feats, head_col, deprel, _deps, misc = columns
     try:
-        node_id = _node_id(id_col)
+        node_id = NodeId.parse(id_col)
     except ValueError:
         raise MalformedLine(line_no, line, f"bad node id {id_col!r}")
     if head_col == "_":
@@ -204,7 +199,7 @@ def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
         head = ROOT
     else:
         try:
-            head = _node_id(head_col)
+            head = NodeId.parse(head_col)
         except ValueError:
             raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
     try:
@@ -405,12 +400,12 @@ def _sheet_group_to_sentence(sid: str, rows: list[tuple[int, list[str]]]) -> Sen
             if head_id == "0":
                 head: NodeId | RootSentinel | None = ROOT
             elif head_id:
-                head = _node_id(head_id)
+                head = NodeId.parse(head_id)
             else:
                 head = None
             confidences = {"final": float(conf)} if conf else {}
             tokens.append(Token(
-                id=_node_id(id_text),
+                id=NodeId.parse(id_text),
                 form=split_token,
                 orig_token_index=_index(orig) if orig else None,
                 lemma=lemma or None,

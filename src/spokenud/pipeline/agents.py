@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 import threading
 
@@ -46,93 +47,98 @@ _KEYWORDS = frozenset((
     "maximum", "$ref", "$schema", "$id", "title", "description", "$defs"))
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
           "null": type(None), "number": (int, float), "integer": int}
-_regex = functools.cache(re.compile)
 
 
 def _validator(stage: str):
-    """The stage's schema validator, built once per process. The schema is
-    checked against its metaschema, and for keywords _conforms does not
-    interpret, on first use, so a broken shipped schema still fails loudly."""
+    """The stage's jsonschema validator and compiled predicate, built once per
+    process on first use; a schema its metaschema refuses fails loudly."""
     with _validators_lock:
         if stage not in _validators:
             schema = stage_schema(stage)
             cls = jsonschema.validators.validator_for(schema)
             cls.check_schema(schema)
-            _check_keywords(stage, schema)
-            _validators[stage] = cls(schema)
+            _validators[stage] = cls(schema), _compile(stage, schema)
         return _validators[stage]
 
 
-def _check_keywords(stage: str, schema) -> None:
-    if not isinstance(schema, dict):
-        raise SpokenUdError(f"{stage} schema: unsupported subschema {schema!r}")
-    for key, value in schema.items():
-        if key not in _KEYWORDS or key == "$ref" and not value.startswith("#/$defs/") \
-                or key == "additionalProperties" and not isinstance(value, bool) \
-                or key == "enum" and any(isinstance(v, (list, dict)) for v in value):
-            raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}")
-        for sub in value.values() if key in ("properties", "patternProperties", "$defs") \
-                else [value] if key == "items" else ():
-            _check_keywords(stage, sub)
+def _compile(stage: str, root: dict):
+    """``root`` compiled in one walk into a predicate, one closure per node over
+    the keywords it has, with jsonschema's draft 2020-12 verdict for those in
+    _KEYWORDS; the last five check nothing, and any other keyword fails loudly.
+    Enum members are scalars; True never equals 1, as in jsonschema."""
+    defs: dict = {}
 
+    def node(schema):
+        if not isinstance(schema, dict):
+            raise SpokenUdError(f"{stage} schema: unsupported subschema {schema!r}")
+        for key, value in schema.items():
+            if key not in _KEYWORDS or key == "$ref" and not value.startswith("#/$defs/") \
+                    or key == "additionalProperties" and not isinstance(value, bool) \
+                    or key == "enum" and any(isinstance(v, (list, dict)) for v in value):
+                raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}")
+        get, checks = schema.get, []
+        # A $ref looks its target up at call time; only the root's $defs count.
+        (defs if schema is root else {}).update(
+            (name, node(sub)) for name, sub in get("$defs", {}).items())
 
-def _is_type(obj, name: str) -> bool:
-    if isinstance(obj, bool):
-        return name == "boolean"
-    return isinstance(obj, _TYPES[name]) or \
-        name == "integer" and isinstance(obj, float) and obj.is_integer()
+        def on(kind, check):  # a check of one JSON type's values; other values pass
+            type_checked = get("type") in ((kind, "integer") if kind == "number" else (kind,))
+            checks.append(check if type_checked else lambda obj, cls=_TYPES[kind]:
+                          not isinstance(obj, cls) or check(obj))
+        if "$ref" in schema:
+            checks.append(lambda obj, name=get("$ref")[len("#/$defs/"):]: defs[name](obj))
+        if "type" in schema:
+            names = {get("type")} if isinstance(get("type"), str) else set(get("type"))
+            classes = tuple(_TYPES[name] for name in names)
+            any_bool = "boolean" in names or not names & {"number", "integer"}
+            integral = "integer" in names and "number" not in names
+            checks.append(lambda obj: isinstance(obj, classes) and (
+                any_bool or not isinstance(obj, bool))
+                or integral and isinstance(obj, float) and obj.is_integer())
+        if "enum" in schema:
+            members = frozenset((isinstance(e, bool), e) for e in schema["enum"])
+            checks.append(lambda obj: not isinstance(obj, (list, dict))
+                          and (isinstance(obj, bool), obj) in members)
+        if "pattern" in schema:
+            on("string", lambda s, search=re.compile(get("pattern")).search:
+               search(s) is not None)
+        if "minimum" in schema or "maximum" in schema:
+            low, high = get("minimum", -math.inf), get("maximum", math.inf)
+            on("number", lambda x: isinstance(x, bool) or not (x < low or x > high))
+        for keyword, kind in (("minLength", "string"), ("minItems", "array")):
+            if keyword in schema:
+                on(kind, lambda x, n=schema[keyword]: len(x) >= n)
+        if "items" in schema:
+            on("array", lambda a, item=node(get("items")): all(map(item, a)))
+        closed = get("additionalProperties") is False
+        if closed or {"properties", "patternProperties", "required"} & schema.keys():
+            properties = {key: node(sub) for key, sub in get("properties", {}).items()}
+            patterns = [(re.compile(pattern).search, node(sub))
+                        for pattern, sub in get("patternProperties", {}).items()]
 
+            def check_object(obj, required=frozenset(get("required", ()))):
+                for key, value in obj.items():
+                    prop = properties.get(key)
+                    if prop is not None and not prop(value):
+                        return False
+                    for search, sub in patterns:
+                        if search(key) and not sub(value):
+                            return False
+                    if closed and prop is None and not any(s(key) for s, _ in patterns):
+                        return False
+                return required <= obj.keys()
+            on("object", check_object)
+        return functools.reduce(lambda first, then: lambda obj: first(obj) and then(obj),
+                                checks or [lambda obj: True])
 
-def _conforms(schema: dict, obj, root: dict | None = None) -> bool:
-    """Whether ``obj`` is valid under ``schema`` by jsonschema's draft 2020-12
-    semantics for the keywords in _KEYWORDS, of which the last five check
-    nothing. Enum members are scalars; True never equals 1, as in jsonschema."""
-    root = root or schema
-    if "$ref" in schema and not _conforms(
-            root["$defs"][schema["$ref"].removeprefix("#/$defs/")], obj, root):
-        return False
-    types = schema.get("type")
-    if types is not None and not (
-            _is_type(obj, types) if isinstance(types, str)
-            else any(_is_type(obj, t) for t in types)):
-        return False
-    if "enum" in schema and not any(
-            e is obj or isinstance(e, bool) == isinstance(obj, bool) and e == obj
-            for e in schema["enum"]):
-        return False
-    if isinstance(obj, str):
-        return len(obj) >= schema.get("minLength", 0) and (
-            "pattern" not in schema or bool(_regex(schema["pattern"]).search(obj)))
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return not ("minimum" in schema and obj < schema["minimum"]
-                    or "maximum" in schema and obj > schema["maximum"])
-    if isinstance(obj, list):
-        items = schema.get("items")
-        return len(obj) >= schema.get("minItems", 0) and (
-            items is None or all(_conforms(items, x, root) for x in obj))
-    if not isinstance(obj, dict):
-        return True
-    properties = schema.get("properties", {})
-    patterns = schema.get("patternProperties", {})
-    for key, value in obj.items():
-        known = key in properties
-        if known and not _conforms(properties[key], value, root):
-            return False
-        for pattern, sub in patterns.items():
-            if _regex(pattern).search(key):
-                known = True
-                if not _conforms(sub, value, root):
-                    return False
-        if not known and schema.get("additionalProperties") is False:
-            return False
-    return all(key in obj for key in schema.get("required", ()))
+    return node(root)
 
 
 def _schema_violations(stage: str, obj: dict) -> list[str]:
     """The error ``jsonschema.validate`` would raise, as a violation line;
-    jsonschema is asked only about responses _conforms rejects."""
-    validator = _validator(stage)
-    if _conforms(validator.schema, obj):
+    jsonschema is asked only about responses the predicate rejects."""
+    validator, conforms = _validator(stage)
+    if conforms(obj):
         return []
     err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
     if err is None:

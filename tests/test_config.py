@@ -78,6 +78,18 @@ def test_out_of_range_value_names_its_key(tmp_path, document, key):
         load_config(user)
 
 
+def assert_config_error(tmp_path, capsys, document, message):
+    """``document`` as the user config is refused with ``message``, and the CLI
+    exits 1 printing it."""
+    user = tmp_path / "user.yaml"
+    user.write_text(document, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        load_config(user)
+    assert str(err.value) == message
+    assert main(["--config", str(user), "validate", str(user)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("document, message", [
     ("evaluation:\n  weights: {split: x}\n",
      "evaluation.weights.split: expected float, got 'x'"),
@@ -93,13 +105,23 @@ def test_out_of_range_value_names_its_key(tmp_path, document, key):
 ])
 def test_non_numeric_value_exits_one_naming_key_and_value(tmp_path, capsys,
                                                           document, message):
-    user = tmp_path / "user.yaml"
-    user.write_text(document, encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
-        load_config(user)
-    assert str(err.value) == message
-    assert main(["--config", str(user), "validate", str(user)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert_config_error(tmp_path, capsys, document, message)
+
+
+@pytest.mark.parametrize("document, message", [
+    ("evaluation: 5\n", "evaluation: expected a mapping, got int"),
+    ("evaluation: {weights: [1]}\n", "evaluation.weights: expected a mapping, got list"),
+    ("evaluation: {tolerance: yes}\n", "evaluation.tolerance: expected a mapping, got bool"),
+    ("evaluation:\n  tolerance: {contractions: [del]}\n",
+     "evaluation.tolerance.contractions: expected a mapping, got list"),
+    ("evaluation: {penalties: high}\n", "evaluation.penalties: expected a mapping, got str"),
+    ("annotation: [UPOS]\n", "annotation: expected a mapping, got list"),
+    ("pipeline: [1]\n", "pipeline: expected a mapping, got list"),
+    ("backend: null\n", "backend: expected a mapping, got NoneType"),
+])
+def test_section_that_is_not_a_mapping_exits_one_naming_key_and_type(
+        tmp_path, capsys, document, message):
+    assert_config_error(tmp_path, capsys, document, message)
 
 
 SECTIONS = {"evaluation", "annotation", "pipeline", "backend"}

@@ -21,6 +21,8 @@ from spokenud.ioformats import load_manifest, manifest_entry_to_input_sentence
 from spokenud.pipeline import agents, run_agent
 from spokenud.pipeline.prompts import STAGES, stage_schema
 
+from schema_reference import _conforms as reference_conforms
+
 DATA = Path(__file__).parent / "data"
 FIXTURES = ("del1", "disc1", "fig2")
 MUTANTS_PER_FIXTURE = 60
@@ -133,6 +135,14 @@ def test_check_schema_runs_once_per_stage(monkeypatch):
         return original(cls, schema, *args, **kwargs)
 
     monkeypatch.setattr(validator_class, "check_schema", classmethod(counting))
+    compiled = []
+    compile_schema = agents._compile
+
+    def counting_compile(stage, schema):
+        compiled.append(stage)
+        return compile_schema(stage, schema)
+
+    monkeypatch.setattr(agents, "_compile", counting_compile)
     objs = {stage: fixture_response("fig2", stage) for stage in STAGES}
     results = []
 
@@ -154,6 +164,7 @@ def test_check_schema_runs_once_per_stage(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[]] * (8 * 5 * len(STAGES))
     assert sorted(checked) == sorted(stage_schema(s)["$id"] for s in STAGES)
+    assert sorted(compiled) == sorted(STAGES)
 
 
 def test_broken_schema_fails_loudly(monkeypatch):
@@ -192,7 +203,7 @@ def test_retry_prompt_wording_is_pinned(pipeline_manifest_path):
         "}")
 
 
-# --- the built-in predicate against jsonschema's verdict ----------------------
+# --- the compiled predicate against the old interpreter and jsonschema --------
 
 NAN, INF = float("nan"), float("inf")
 EDGE_VALUES = (1.0, -2.0, True, False, 0, "1\n", "\u0661", NAN, INF, -INF)
@@ -217,8 +228,12 @@ def slots(container):
 
 
 def verdicts(stage: str, obj) -> tuple[bool, bool]:
-    validator = agents._validator(stage)
-    return agents._conforms(validator.schema, obj), validator.is_valid(obj)
+    """The compiled predicate's verdict, asserted equal to the interpreter it
+    replaced, and jsonschema's."""
+    validator, conforms = agents._validator(stage)
+    verdict = conforms(obj)
+    assert verdict == reference_conforms(validator.schema, obj), obj
+    return verdict, validator.is_valid(obj)
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -298,6 +313,28 @@ def test_conforms_on_fixed_edge_cases(stage, path, value, valid):
         target = target[key]
     target[path[-1]] = value
     assert verdicts(stage, obj) == (valid, valid)
+
+
+SYNTHETIC_SCHEMAS = [
+    {"minimum": 2, "maximum": 5},
+    {"type": ["boolean", "integer"], "minimum": 2},
+    {"enum": [1, "a", None, False]},
+    {"type": ["string", "array"], "pattern": "^a", "minLength": 2, "minItems": 2},
+    {"type": "object", "additionalProperties": False, "required": ["a"],
+     "properties": {"a": {"type": "string"}}, "patternProperties": {"^a": {"minLength": 2}}},
+]
+SYNTHETIC_VALUES = (True, False, 0, 1, 1.0, 2, 5.0, 7.5, NAN, "a", "ab", "b", None,
+                    [], [1], [1, 2], {}, {"a": "x"}, {"a": "xy"}, {"a": "xy", "ab": 1},
+                    {"a": "xy", "b": 1})
+
+
+@pytest.mark.parametrize("schema", SYNTHETIC_SCHEMAS, ids=range(len(SYNTHETIC_SCHEMAS)))
+def test_keyword_combinations_the_stage_schemas_lack(schema):
+    conforms = agents._compile("test", schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    for value in SYNTHETIC_VALUES:
+        assert conforms(value) == reference_conforms(schema, value) == \
+            validator.is_valid(value), value
 
 
 def test_stage_schema_returns_a_fresh_dict_each_call():
