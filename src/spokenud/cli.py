@@ -178,16 +178,18 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
 
 
 def _pair_sentences(gold_path: str, system_path: str):
-    gold = _sentences_by_id(gold_path)
-    system = _sentences_by_id(system_path)
+    gold = _sentences_by_id(parse_conllu(_read(gold_path)), gold_path)
+    system = _sentences_by_id(parse_conllu(_read(system_path)), system_path)
     if set(gold) != set(system):
         raise SentenceIdMismatch(set(gold) - set(system), set(system) - set(gold))
     return [(gold[sid], system[sid]) for sid in sorted(gold)]
 
 
-def _sentences_by_id(path: str) -> dict[str, Sentence]:
+def _sentences_by_id(sentences: list[Sentence], path: str) -> dict[str, Sentence]:
+    """The file-level checks ``eval`` and ``validate`` share: no repeated
+    sentence id, no block without token rows, no repeated node id."""
     by_id: dict[str, Sentence] = {}
-    for sentence in parse_conllu(_read(path)):
+    for sentence in sentences:
         name = sentence.sentence_id or '<unnamed>'
         if sentence.sentence_id in by_id:
             raise DuplicateSentenceId(f"{name} in {path}")
@@ -241,11 +243,7 @@ def sentence_record(sid: str, category: Category | None,
             },
         },
         "flexud": {
-            "split": flex.components.s_split,
-            "id": flex.components.s_id,
-            "upos": flex.components.s_upos,
-            "head": flex.components.s_head,
-            "deprel": flex.components.s_deprel,
+            **flex.components.asdict(),
             "raw": flex.raw,
             "P": flex.severity.P,
             "final": flex.final,
@@ -311,6 +309,7 @@ def cmd_validate(args) -> int:
                 ids = ", ".join(str(n) for n in issue.node_ids)
                 print(f"{sentence.sentence_id or '<unnamed>'}: "
                       f"{issue.code.value} [{ids}] {issue.message}")
+    _sentences_by_id(sentences, args.path)  # after the tree issues; refuses as eval does
     print(f"validated {len(sentences)} sentences, {failures} with issues")
     return 1 if failures else 0
 

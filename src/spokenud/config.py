@@ -82,6 +82,18 @@ def _section(doc: dict, key: str) -> dict:
     return value
 
 
+def _strings(doc: dict, key: str, nested: bool = False) -> list:
+    """The list of strings (with ``nested``, of lists of strings) at dotted
+    ``key``'s last part in ``doc``; absent or null reads as empty."""
+    value = doc.get(key.rpartition(".")[2])
+    rows = value if nested and isinstance(value, list) else [value]
+    if value is not None and not all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows):
+        kind = "lists of strings" if nested else "strings"
+        raise ConfigError(f"{key}: expected a list of {kind}, got {value!r}")
+    return value or []
+
+
 def _build(document: dict) -> ToolkitConfig:
     evaluation = _section(document, "evaluation")
     weights_doc = _section(evaluation, "evaluation.weights")
@@ -94,10 +106,10 @@ def _build(document: dict) -> ToolkitConfig:
 
     tolerance_doc = _section(evaluation, "evaluation.tolerance")
     tolerance = ToleranceConfig(
-        upos_pairs=frozenset(frozenset(pair)
-                             for pair in tolerance_doc.get("upos_pairs", [])),
-        deprel_classes=tuple(frozenset(cls)
-                             for cls in tolerance_doc.get("deprel_classes", [])),
+        upos_pairs=frozenset(frozenset(pair) for pair in _strings(
+            tolerance_doc, "evaluation.tolerance.upos_pairs", nested=True)),
+        deprel_classes=tuple(frozenset(cls) for cls in _strings(
+            tolerance_doc, "evaluation.tolerance.deprel_classes", nested=True)),
         upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit", 0.8),
         deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit", 0.8),
         contraction_table={str(k): str(v) for k, v in _section(
@@ -113,9 +125,10 @@ def _build(document: dict) -> ToolkitConfig:
         raise ConfigError(f"evaluation.penalties: {err}")
 
     annotation_doc = _section(document, "annotation")
-    allowed_upos = frozenset(annotation_doc.get("allowed_upos") or UPOS_TAGS)
-    allowed_deprels = frozenset(
-        annotation_doc.get("allowed_deprels") or UD_RELATIONS)
+    allowed_upos = frozenset(_strings(annotation_doc, "annotation.allowed_upos")
+                             or UPOS_TAGS)
+    allowed_deprels = frozenset(_strings(annotation_doc, "annotation.allowed_deprels")
+                                or UD_RELATIONS)
 
     pipeline_doc = _section(document, "pipeline")
     workers = _number(pipeline_doc, "pipeline.workers", 1, int)
@@ -139,7 +152,7 @@ def _build(document: dict) -> ToolkitConfig:
         weights=weights,
         tolerance=tolerance,
         penalties=penalties,
-        mwe_whitelist=tuple(pipeline_doc.get("mwe_whitelist", ())),
+        mwe_whitelist=tuple(_strings(pipeline_doc, "pipeline.mwe_whitelist")),
         allowed_upos=allowed_upos,
         allowed_deprels=allowed_deprels,
         backend=backend,

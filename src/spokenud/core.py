@@ -13,7 +13,7 @@ import functools
 import operator
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 
@@ -199,36 +199,60 @@ class UnknownCategory(SpokenUdError):
         super().__init__(f"unknown category label: {label!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
-    """One annotated node of a spoken-UD sentence."""
+    """One annotated node of a spoken-UD sentence. Slotted: ``__init__`` holds
+    the defaults and the checks, and stores through the slot descriptors."""
 
     id: NodeId
     form: str
-    orig_token_index: int | None = None
-    lemma: str | None = None
-    upos: str | None = None
-    head: NodeId | RootSentinel | None = None
-    deprel: str | None = None
-    lang_tag: str = "unknown"
-    spoken_label: str | None = None
-    spoken_anchor: NodeId | None = None
-    confidences: Mapping[str, float] = field(default_factory=dict)
-    penalty: float = 0.0
-    notes: str = ""
+    orig_token_index: int | None
+    lemma: str | None
+    upos: str | None
+    head: NodeId | RootSentinel | None
+    deprel: str | None
+    lang_tag: str
+    spoken_label: str | None
+    spoken_anchor: NodeId | None
+    confidences: Mapping[str, float]
+    penalty: float
+    notes: str
 
-    def __post_init__(self):
-        if isinstance(self.head, NodeId) and self.head == self.id:
-            raise ValueError(f"token {self.id} cannot be its own head")
-        if self.lang_tag not in LANG_TAGS:
-            raise ValueError(f"unknown language tag: {self.lang_tag!r}")
-        if self.spoken_label is not None and self.spoken_label not in SPOKEN_LABELS:
-            raise ValueError(f"unknown spoken label: {self.spoken_label!r}")
-        if not 0.0 <= self.penalty <= 1.0:
-            raise ValueError(f"penalty must be in [0,1], got {self.penalty}")
-        for stage, value in self.confidences.items():
+    def __init__(self, id, form, orig_token_index=None, lemma=None, upos=None,
+                 head=None, deprel=None, lang_tag="unknown", spoken_label=None,
+                 spoken_anchor=None, confidences=None, penalty=0.0, notes=""):
+        if isinstance(head, NodeId) and head == id:
+            raise ValueError(f"token {id} cannot be its own head")
+        if lang_tag not in LANG_TAGS:
+            raise ValueError(f"unknown language tag: {lang_tag!r}")
+        if spoken_label is not None and spoken_label not in SPOKEN_LABELS:
+            raise ValueError(f"unknown spoken label: {spoken_label!r}")
+        if not 0.0 <= penalty <= 1.0:
+            raise ValueError(f"penalty must be in [0,1], got {penalty}")
+        confidences = {} if confidences is None else confidences
+        for stage, value in confidences.items():
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"confidence {stage}={value} outside [0,1]")
+        _set_id(self, id)
+        _set_form(self, form)
+        _set_orig_token_index(self, orig_token_index)
+        _set_lemma(self, lemma)
+        _set_upos(self, upos)
+        _set_head(self, head)
+        _set_deprel(self, deprel)
+        _set_lang_tag(self, lang_tag)
+        _set_spoken_label(self, spoken_label)
+        _set_spoken_anchor(self, spoken_anchor)
+        _set_confidences(self, confidences)
+        _set_penalty(self, penalty)
+        _set_notes(self, notes)
+
+
+# The slot setters Token.__init__ stores through: a frozen dataclass refuses setattr.
+(_set_id, _set_form, _set_orig_token_index, _set_lemma, _set_upos, _set_head,
+ _set_deprel, _set_lang_tag, _set_spoken_label, _set_spoken_anchor,
+ _set_confidences, _set_penalty, _set_notes) = (
+    Token.__dict__[f.name].__set__ for f in fields(Token))
 
 
 @dataclass(frozen=True)

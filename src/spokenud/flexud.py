@@ -38,8 +38,6 @@ LINK_KINDS = ("one_one", "gold_split", "system_split", "mwe",
               "unaligned_gold", "unaligned_system")
 
 FLEX_TABLE_COLUMNS = ("Category", "ID", "UPOS", "HEAD", "DEPREL", "Final")
-FLEX_TABLE_COLUMNS_EXTENDED = ("Category", "Split", "ID", "UPOS", "HEAD",
-                               "DEPREL", "Final")
 
 # Longest token run one token on the other side may align against.
 MAX_RUN = 4
@@ -673,20 +671,17 @@ class FlexResult:
 class FlexTable:
     per_category: tuple[tuple[Category, int, tuple[float, ...] | None], ...]
     overall: tuple[float, ...]
-    extended: bool
 
     def to_table(self) -> Table:
-        columns = FLEX_TABLE_COLUMNS_EXTENDED if self.extended else FLEX_TABLE_COLUMNS
         rows = []
         for category, n, values in self.per_category:
             rows.append((category.display_label,) + self._cells(values))
         rows.append(("Overall",) + self._cells(self.overall))
-        return Table(columns, tuple(rows))
+        return Table(FLEX_TABLE_COLUMNS, tuple(rows))
 
     def _cells(self, values: tuple[float, ...] | None) -> tuple[str, ...]:
-        width = 6 if self.extended else 5
         if values is None:
-            return ("-",) * width
+            return ("-",) * 5
         return tuple(f"{v:.1f}" for v in values)
 
     def to_markdown(self) -> str:
@@ -696,12 +691,9 @@ class FlexTable:
         return self.to_table().to_csv()
 
 
-def flexud_report(results: Iterable[FlexResult], extended: bool = False) -> FlexTable:
-    """Per-category averages of the component scores and Final.
-
-    The default view matches the published layout (ID, UPOS, HEAD, DEPREL,
-    Final); the extended view prepends the Split component.
-    """
+def flexud_report(results: Iterable[FlexResult]) -> FlexTable:
+    """Per-category averages of the component scores and Final, in the
+    published layout (ID, UPOS, HEAD, DEPREL, Final)."""
     results = list(results)
     seen: set[str] = set()
     for result in results:
@@ -711,10 +703,7 @@ def flexud_report(results: Iterable[FlexResult], extended: bool = False) -> Flex
 
     def vector(score: FlexScore) -> tuple[float, ...]:
         c = score.components
-        base = (c.s_id, c.s_upos, c.s_head, c.s_deprel, score.final)
-        if extended:
-            return (c.s_split,) + base
-        return base
+        return (c.s_id, c.s_upos, c.s_head, c.s_deprel, score.final)
 
     def mean(scores: list[FlexScore]) -> tuple[float, ...]:
         vectors = [vector(s) for s in scores]
@@ -730,6 +719,5 @@ def flexud_report(results: Iterable[FlexResult], extended: bool = False) -> Flex
         scores = by_category.get(category)
         per_category.append((category, len(scores) if scores else 0,
                              mean(scores) if scores else None))
-    overall = mean([r.score for r in results]) if results else \
-        (0.0,) * (6 if extended else 5)
-    return FlexTable(tuple(per_category), overall, extended)
+    overall = mean([r.score for r in results]) if results else (0.0,) * 5
+    return FlexTable(tuple(per_category), overall)

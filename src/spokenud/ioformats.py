@@ -96,29 +96,31 @@ def _token_misc(token: Token) -> str:
     return "|".join(parts) if parts else "_"
 
 
-def _parse_misc(misc: str) -> dict:
-    fields: dict = {}
-    if misc == "_":
-        return fields
+def _decode_misc(misc: str) -> tuple:
+    """The MISC-borne Token fields, in Token order: orig_token_index,
+    lang_tag, spoken_label, spoken_anchor, confidences, penalty, notes."""
+    orig_index = spoken_label = spoken_anchor = None
+    lang_tag, confidences, penalty, notes = "unknown", {}, 0.0, ""
     for item in misc.split("|"):
         key, sep, value = item.partition("=")
         if not sep:
             continue  # foreign MISC entries without '=' are dropped
         if key == "Lang":
-            fields["lang_tag"] = value if value in LANG_TAGS else "unknown"
+            lang_tag = value if value in LANG_TAGS else "unknown"
         elif key == "SpokenLabel":
-            fields["spoken_label"] = value
+            spoken_label = value
         elif key == "SpokenAnchor":
-            fields["spoken_anchor"] = NodeId.parse(value)
+            spoken_anchor = NodeId.parse(value)
         elif key == "OrigIndex":
-            fields["orig_token_index"] = _index(value)
+            orig_index = _index(value)
         elif key.startswith("Conf:"):
-            fields.setdefault("confidences", {})[key[5:]] = float(value)
+            confidences[key[5:]] = float(value)
         elif key == "Penalty":
-            fields["penalty"] = float(value)
+            penalty = float(value)
         elif key == "Notes":
-            fields["notes"] = urllib.parse.unquote(value)
-    return fields
+            notes = urllib.parse.unquote(value)
+    return (orig_index, lang_tag, spoken_label, spoken_anchor, confidences,
+            penalty, notes)
 
 
 def parse_conllu(text: str) -> list[Sentence]:
@@ -128,31 +130,28 @@ def parse_conllu(text: str) -> list[Sentence]:
     recognized), multiword-token range lines are preserved as metadata, and
     dotted ids become dotted nodes. A line that does not have exactly 10
     tab-separated columns raises MalformedLine.
+
+    One pass over the lines. Each distinct MISC cell is decoded once per
+    call; every Token gets its own confidences dict.
     """
     sentences: list[Sentence] = []
-    block: list[tuple[int, str]] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line.strip() == "":
-            if block:
-                sentences.append(_parse_block(block))
-                block = []
-        else:
-            block.append((line_no, line))
-    if block:
-        sentences.append(_parse_block(block))
-    return sentences
-
-
-def _parse_block(block: list[tuple[int, str]]) -> Sentence:
-    sentence_id = ""
-    category: Category | None = None
-    metadata: dict = {}
-    comments: list[str] = []
-    mwt_lines: list[tuple[int, tuple[str, ...]]] = []
-    tokens: list[Token] = []
-
-    for line_no, line in block:
-        if line.startswith("#"):
+    misc_memo: dict[str, tuple] = {}
+    parse_id = NodeId.parse
+    in_block = False
+    for line_no, line in enumerate([*text.split("\n"), ""], start=1):  # "" ends a block
+        if not line or line.isspace():
+            if in_block:
+                if comments:
+                    metadata["comments"] = tuple(comments)
+                if mwt_lines:
+                    metadata["mwt"] = tuple(mwt_lines)
+                sentences.append(Sentence(sentence_id, tuple(tokens), category, metadata))
+                in_block = False
+            continue
+        if not in_block:  # a block's first line
+            in_block, sentence_id, category = True, "", None
+            metadata, comments, mwt_lines, tokens = {}, [], [], []
+        if line[0] == "#":
             body = line[1:].strip()
             key, sep, value = body.partition("=")
             if sep:
@@ -168,52 +167,40 @@ def _parse_block(block: list[tuple[int, str]]) -> Sentence:
             continue
         columns = line.split("\t")
         if len(columns) != CONLLU_COLUMNS:
-            raise MalformedLine(line_no, line,
-                                f"expected 10 columns, got {len(columns)}")
-        if "-" in columns[0]:
-            start = columns[0].split("-", 1)[0]
+            raise MalformedLine(line_no, line, f"expected 10 columns, got {len(columns)}")
+        id_col, form, lemma, upos, _xpos, _feats, head_col, deprel, _deps, misc = columns
+        if "-" in id_col:
             try:
-                mwt_lines.append((_index(start), tuple(columns)))
+                mwt_lines.append((_index(id_col.split("-", 1)[0]), tuple(columns)))
             except ValueError:
                 raise MalformedLine(line_no, line, "bad multiword token range")
             continue
-        tokens.append(_parse_token_line(line_no, line, columns))
-
-    if comments:
-        metadata["comments"] = tuple(comments)
-    if mwt_lines:
-        metadata["mwt"] = tuple(mwt_lines)
-    return Sentence(sentence_id=sentence_id, tokens=tuple(tokens),
-                    category=category, metadata=metadata)
-
-
-def _parse_token_line(line_no: int, line: str, columns: list[str]) -> Token:
-    id_col, form, lemma, upos, _xpos, _feats, head_col, deprel, _deps, misc = columns
-    try:
-        node_id = NodeId.parse(id_col)
-    except ValueError:
-        raise MalformedLine(line_no, line, f"bad node id {id_col!r}")
-    if head_col == "_":
-        head: NodeId | RootSentinel | None = None
-    elif head_col == "0":
-        head = ROOT
-    else:
         try:
-            head = NodeId.parse(head_col)
+            node_id = parse_id(id_col)
         except ValueError:
-            raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
-    try:
-        return Token(
-            id=node_id,
-            form=form,
-            lemma=None if lemma == "_" else lemma,
-            upos=None if upos == "_" else upos,
-            head=head,
-            deprel=None if deprel == "_" else deprel,
-            **_parse_misc(misc),
-        )
-    except ValueError as err:
-        raise MalformedLine(line_no, line, str(err))
+            raise MalformedLine(line_no, line, f"bad node id {id_col!r}")
+        if head_col == "_":
+            head: NodeId | RootSentinel | None = None
+        elif head_col == "0":
+            head = ROOT
+        else:
+            try:
+                head = parse_id(head_col)
+            except ValueError:
+                raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
+        try:
+            decoded = misc_memo.get(misc)
+            if decoded is None:
+                decoded = misc_memo[misc] = _decode_misc(misc)
+            orig_index, lang_tag, label, anchor, confidences, penalty, notes = decoded
+            tokens.append(Token(
+                node_id, form, orig_index, None if lemma == "_" else lemma,
+                None if upos == "_" else upos, head,
+                None if deprel == "_" else deprel, lang_tag, label, anchor,
+                dict(confidences), penalty, notes))
+        except ValueError as err:
+            raise MalformedLine(line_no, line, str(err))
+    return sentences
 
 
 def emit_conllu(sentences: Iterable[Sentence]) -> str:

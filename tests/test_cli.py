@@ -46,6 +46,18 @@ def test_validate_cycle_names_members(tmp_path, capsys):
     assert "Cycle" in out and "1, 2" in out
 
 
+def test_validate_refuses_a_repeated_sentence_id_as_eval_does(tmp_path, capsys):
+    # Two well-formed trees that share a sent_id: eval's file-level checks.
+    path = tmp_path / "dup.conllu"
+    path.write_text(LIKE_IT.format(third=3) + "\n" + LIKE_IT.format(third=3),
+                    encoding="utf-8")
+    message = f"error: duplicate sentence id: r1 in {path}\n"
+    assert run(["validate", path]) == 1
+    assert capsys.readouterr() == ("", message)
+    assert run(["eval", "--gold", path, "--system", path, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == message
+
+
 # --- eval ---------------------------------------------------------------------
 
 def test_eval_gold_vs_itself_matches_goldens(tmp_path):

@@ -124,6 +124,32 @@ def test_section_that_is_not_a_mapping_exits_one_naming_key_and_type(
     assert_config_error(tmp_path, capsys, document, message)
 
 
+@pytest.mark.parametrize("document, message", [
+    ("evaluation: {tolerance: {upos_pairs: 5}}\n",
+     "evaluation.tolerance.upos_pairs: expected a list of lists of strings, got 5"),
+    ("evaluation: {tolerance: {deprel_classes: [1]}}\n",
+     "evaluation.tolerance.deprel_classes: expected a list of lists of strings, got [1]"),
+    ("annotation: {allowed_upos: 5}\n",
+     "annotation.allowed_upos: expected a list of strings, got 5"),
+    ("pipeline: {mwe_whitelist: 5}\n",
+     "pipeline.mwe_whitelist: expected a list of strings, got 5"),
+])
+def test_list_value_of_the_wrong_shape_exits_one_naming_key_and_value(
+        tmp_path, capsys, document, message):
+    assert_config_error(tmp_path, capsys, document, message)
+
+
+def test_null_list_values_read_as_empty(tmp_path):
+    user = tmp_path / "user.yaml"
+    user.write_text("evaluation: {tolerance: {upos_pairs: null}}\n"
+                    "annotation: {allowed_upos: null}\npipeline: {mwe_whitelist: null}\n",
+                    encoding="utf-8")
+    config = load_config(user)
+    assert config.tolerance.upos_pairs == frozenset()
+    assert config.allowed_upos == UPOS_TAGS  # empty means every tag, as before
+    assert config.mwe_whitelist == ()
+
+
 SECTIONS = {"evaluation", "annotation", "pipeline", "backend"}
 
 

@@ -605,8 +605,3 @@ def test_flex_report_mean_of_finals():
     row = next(r for r in table.per_category
                if r[0] is Category.SIMPLE_DISCOURSE)
     assert row[2][-1] == 70.0
-
-
-def test_flex_report_extended_includes_split():
-    table = flexud_report([flex_result("a", Category.NONE, 70)], extended=True)
-    assert table.to_table().columns[1] == "Split"
