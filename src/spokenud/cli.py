@@ -231,16 +231,7 @@ def sentence_record(sid: str, category: Category | None,
             "uas": standard.uas,
             "clas": standard.clas,
             "upos_acc": standard.upos_acc,
-            "counts": {
-                "gold_total": standard.counts.gold_total,
-                "aligned": standard.counts.aligned,
-                "head_correct": standard.counts.head_correct,
-                "labeled_correct": standard.counts.labeled_correct,
-                "content_gold": standard.counts.content_gold,
-                "content_labeled_correct": standard.counts.content_labeled_correct,
-                "upos_correct": standard.counts.upos_correct,
-                "system_extra": standard.counts.system_extra,
-            },
+            "counts": dict(vars(standard.counts)),
         },
         "flexud": {
             **flex.components.asdict(),

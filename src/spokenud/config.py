@@ -51,7 +51,8 @@ def _load_yaml(text: str):
 
 def load_config(path: str | Path | None = None) -> ToolkitConfig:
     """Build the toolkit configuration from the shipped defaults, optionally
-    merged with a user YAML file of the same structure."""
+    merged with a user YAML file of the same structure. The defaults hold
+    every key and a user file can only override one, so every key is read."""
     document = _load_yaml(resources.files("spokenud.data")
                           .joinpath("default_config.yaml").read_text("utf-8"))
     if path is not None:
@@ -65,9 +66,9 @@ def load_config(path: str | Path | None = None) -> ToolkitConfig:
     return _build(document)
 
 
-def _number(doc: dict, key: str, default, kind=float):
-    """The value of dotted ``key``'s last part in ``doc``, or ``default``."""
-    value = doc.get(key.rpartition(".")[2], default)
+def _number(doc: dict, key: str, kind=float):
+    """The value of dotted ``key``'s last part in ``doc``, as ``kind``."""
+    value = doc[key.rpartition(".")[2]]
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -75,8 +76,8 @@ def _number(doc: dict, key: str, default, kind=float):
 
 
 def _section(doc: dict, key: str) -> dict:
-    """The mapping at dotted ``key``'s last part in ``doc``, or an empty one."""
-    value = doc.get(key.rpartition(".")[2], {})
+    """The mapping at dotted ``key``'s last part in ``doc``."""
+    value = doc[key.rpartition(".")[2]]
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: expected a mapping, got {type(value).__name__}")
     return value
@@ -84,8 +85,8 @@ def _section(doc: dict, key: str) -> dict:
 
 def _strings(doc: dict, key: str, nested: bool = False) -> list:
     """The list of strings (with ``nested``, of lists of strings) at dotted
-    ``key``'s last part in ``doc``; absent or null reads as empty."""
-    value = doc.get(key.rpartition(".")[2])
+    ``key``'s last part in ``doc``; null reads as empty."""
+    value = doc[key.rpartition(".")[2]]
     rows = value if nested and isinstance(value, list) else [value]
     if value is not None and not all(
             isinstance(row, list) and all(isinstance(s, str) for s in row) for row in rows):
@@ -99,8 +100,8 @@ def _build(document: dict) -> ToolkitConfig:
     weights_doc = _section(evaluation, "evaluation.weights")
     try:
         # Field w_split reads key split, and so on.
-        weights = Weights(**{f.name: _number(weights_doc, f"evaluation.weights.{f.name[2:]}",
-                                             f.default) for f in fields(Weights)})
+        weights = Weights(**{f.name: _number(weights_doc, f"evaluation.weights.{f.name[2:]}")
+                             for f in fields(Weights)})
     except SpokenUdError as err:
         raise ConfigError(str(err))
 
@@ -110,8 +111,8 @@ def _build(document: dict) -> ToolkitConfig:
             tolerance_doc, "evaluation.tolerance.upos_pairs", nested=True)),
         deprel_classes=tuple(frozenset(cls) for cls in _strings(
             tolerance_doc, "evaluation.tolerance.deprel_classes", nested=True)),
-        upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit", 0.8),
-        deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit", 0.8),
+        upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit"),
+        deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit"),
         contraction_table={str(k): str(v) for k, v in _section(
             tolerance_doc, "evaluation.tolerance.contractions").items()},
     )
@@ -119,7 +120,7 @@ def _build(document: dict) -> ToolkitConfig:
     penalties_doc = _section(evaluation, "evaluation.penalties")
     try:
         penalties = PenaltySchedule(**{
-            f.name: _number(penalties_doc, f"evaluation.penalties.{f.name}", f.default)
+            f.name: _number(penalties_doc, f"evaluation.penalties.{f.name}")
             for f in fields(PenaltySchedule)})
     except ValueError as err:
         raise ConfigError(f"evaluation.penalties: {err}")
@@ -131,21 +132,21 @@ def _build(document: dict) -> ToolkitConfig:
                                 or UD_RELATIONS)
 
     pipeline_doc = _section(document, "pipeline")
-    workers = _number(pipeline_doc, "pipeline.workers", 1, int)
+    workers = _number(pipeline_doc, "pipeline.workers", int)
     if workers < 1:
         raise ConfigError(f"pipeline.workers must be at least 1, got {workers}")
     backend_doc = _section(document, "backend")
     backend = BackendConfig(
-        mode=backend_doc.get("mode", "stub"),
-        base_url=backend_doc.get("base_url", "https://api.openai.com/v1"),
-        model_name=backend_doc.get("model_name", "gpt-4.1"),
-        temperature=_number(backend_doc, "backend.temperature", 0.0),
-        max_tokens=_number(backend_doc, "backend.max_tokens", 4096, int),
-        timeout_s=_number(backend_doc, "backend.timeout_s", 60.0),
-        retries=_number(backend_doc, "backend.retries", 2, int),
-        replay_dir=backend_doc.get("replay_dir"),
-        max_in_flight=_number(backend_doc, "backend.max_in_flight", 4, int),
-        auth_env_var=backend_doc.get("auth_env_var", "SPOKENUD_API_KEY"),
+        mode=backend_doc["mode"],
+        base_url=backend_doc["base_url"],
+        model_name=backend_doc["model_name"],
+        temperature=_number(backend_doc, "backend.temperature"),
+        max_tokens=_number(backend_doc, "backend.max_tokens", int),
+        timeout_s=_number(backend_doc, "backend.timeout_s"),
+        retries=_number(backend_doc, "backend.retries", int),
+        replay_dir=backend_doc["replay_dir"],
+        max_in_flight=_number(backend_doc, "backend.max_in_flight", int),
+        auth_env_var=backend_doc["auth_env_var"],
     )
 
     return ToolkitConfig(
@@ -157,5 +158,5 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_deprels=allowed_deprels,
         backend=backend,
         workers=workers,
-        agent_retries=_number(pipeline_doc, "pipeline.agent_retries", 2, int),
+        agent_retries=_number(pipeline_doc, "pipeline.agent_retries", int),
     )

@@ -149,6 +149,10 @@ class RootSentinel:
     def __repr__(self) -> str:
         return "ROOT"
 
+    def __reduce__(self) -> str:
+        # Pickled by name, so every pickle protocol and copy keep the singleton.
+        return "ROOT"
+
 
 ROOT = RootSentinel()
 

@@ -23,7 +23,7 @@ from .envelopes import (
     validate_lsr,
     validate_sph,
 )
-from .prompts import render_prompt, repair_prompt, stage_schema
+from .prompts import STAGES, render_prompt, repair_prompt, stage_schema
 
 
 class SchemaViolation(SpokenUdError):
@@ -147,10 +147,16 @@ def _schema_violations(stage: str, obj: dict) -> list[str]:
     return [f"schema: {err.message} at {path or '<root>'}"]
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _single_json_object(raw: str) -> tuple[dict | None, list[str]]:
+    """The response decoded by ``json.loads``, refusing the NaN, Infinity and
+    -Infinity that RFC 8259 does not allow: NaN would pass every schema bound."""
     try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as err:
+        obj = json.loads(raw, parse_constant=_refuse_constant)
+    except ValueError as err:  # JSONDecodeError, a refused constant, a huge int
         return None, [f"response is not valid JSON: {err}"]
     if not isinstance(obj, dict):
         return None, ["response must be a single JSON object"]
@@ -220,22 +226,25 @@ def seed_replay_store(store: ReplayStore, sentence: Sentence,
                       mwe_whitelist=()) -> None:
     """Record canned stage responses under the fingerprints live runs compute.
 
-    ``responses`` maps stage name to raw response text. Each canned output is
-    parsed (and whitelist MWEs applied, mirroring run_agent) to derive the
-    next stage's prompt, so replay-mode lookups hit the recorded entries.
+    ``responses`` maps stage name to raw response text. Each canned output
+    passes run_agent's decode and schema check and is parsed (and whitelist
+    MWEs applied, mirroring run_agent) to derive the next stage's prompt, so
+    replay-mode lookups hit the recorded entries.
     """
     payload = input_payload(sentence)
-    for stage in ("sph", "lsr", "core"):
+    for stage in STAGES:
+        obj, violations = _single_json_object(responses[stage])
+        if obj is not None:
+            violations = _schema_violations(stage, obj)
+        if not violations and stage != "core":
+            envelope, violations = (parse_sph if stage == "sph" else parse_lsr)(obj)
+        if violations:
+            raise SpokenUdError(f"canned {stage} response invalid: {violations}")
         system_prompt, user_prompt = render_prompt(stage, envelope_to_json_text(payload))
         store.save(f"{sentence.sentence_id}.{stage}",
                    request_fingerprint(system_prompt, user_prompt, model),
                    responses[stage])
-        if stage == "core":
-            return
-        parse = parse_sph if stage == "sph" else parse_lsr
-        envelope, violations = parse(json.loads(responses[stage]))
-        if violations:
-            raise SpokenUdError(f"canned {stage} response invalid: {violations}")
         if stage == "lsr":
             envelope, _ = apply_mwe_whitelist(envelope, mwe_whitelist)
-        payload = envelope.to_payload()
+        if stage != "core":
+            payload = envelope.to_payload()

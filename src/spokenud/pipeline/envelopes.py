@@ -1,9 +1,10 @@
 """Validated structured outputs of the three model stages plus the final table.
 
 Each stage returns a single JSON object. Parsing happens in two layers: the
-published JSON schema checks shape and types, then the semantic validators
-below check the cross-field invariants (id-map completeness, contiguous
-integer ids after shifts, upstream authority, single root, allowed tag sets).
+published JSON schema checks shape, types and bounds, and the parsers below
+trust it; then the semantic validators check the cross-field invariants
+(id-map completeness, contiguous integer ids after shifts, upstream
+authority, single root, allowed tag sets).
 Validators return human- and machine-readable violation strings; they are the
 repair instructions sent back on retry.
 """
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from ..core import (
-    LANG_TAGS,
-    SPOKEN_LABELS,
     NodeId,
     Sentence,
     SpokenUdError,
@@ -169,75 +168,60 @@ def input_payload(sentence: Sentence) -> dict:
 
 
 # --- parsing ------------------------------------------------------------------
+# Each parser reads an object that conforms to its stage schema and trusts its
+# types; only what the schema admits but the data model refuses is checked.
 
-def _parse_node_id(text, violations: list[str], context: str) -> NodeId | None:
+def _parse_node_id(text: str, violations: list[str], context: str) -> NodeId | None:
+    # The schema's id pattern admits 0, 1.0 and "1\n"; NodeId.parse does not.
     try:
-        return NodeId.parse(str(text))
-    except (ValueError, AttributeError):
+        return NodeId.parse(text)
+    except ValueError:
         violations.append(f"{context}: bad node id {text!r}")
         return None
 
 
 def parse_stage_tokens(obj: dict, violations: list[str]) -> tuple[PipelineToken, ...]:
     tokens: list[PipelineToken] = []
-    for i, raw in enumerate(obj.get("tokens", ())):
+    for i, raw in enumerate(obj["tokens"]):
         context = f"tokens[{i}]"
-        node = _parse_node_id(raw.get("proposed_ID"), violations, context)
+        node = _parse_node_id(raw["proposed_ID"], violations, context)
         if node is None:
             continue
-        anchor = None
-        if raw.get("spoken_anchor") is not None:
-            anchor = _parse_node_id(raw["spoken_anchor"], violations,
-                                    f"{context}.spoken_anchor")
-        label = raw.get("spoken_label")
-        if label is not None and label not in SPOKEN_LABELS:
-            violations.append(f"{context}: unknown spoken_label {label!r}")
-            label = None
-        lang = raw.get("lang_tag", "unknown")
-        if lang not in LANG_TAGS:
-            violations.append(f"{context}: unknown lang_tag {lang!r}")
-            lang = "unknown"
+        anchor = raw.get("spoken_anchor")
+        if anchor is not None:
+            anchor = _parse_node_id(anchor, violations, f"{context}.spoken_anchor")
         tokens.append(PipelineToken(
             proposed_id=node,
-            orig_token_index=int(raw.get("orig_token_index", 0) or 0),
-            split_token=str(raw.get("split_token", "")),
-            lang_tag=lang,
-            spoken_label=label,
+            orig_token_index=int(raw["orig_token_index"]),  # the schema admits 1.0
+            split_token=raw["split_token"],
+            lang_tag=raw.get("lang_tag", "unknown"),
+            spoken_label=raw.get("spoken_label"),
             spoken_anchor=anchor,
             lemma=raw.get("lemma"),
-            mwe=bool(raw.get("mwe", False)),
+            mwe=raw.get("mwe", False),
             sph_confidence=raw.get("sph_confidence"),
             lsr_confidence=raw.get("lsr_confidence"),
-            lsr_notes=str(raw.get("lsr_notes", "") or ""),
+            lsr_notes=raw.get("lsr_notes") or "",
         ))
     return tuple(tokens)
 
 
 def parse_id_map(obj: dict, violations: list[str]) -> dict:
     id_map: dict = {}
-    for key, values in obj.get("proposed_id_map", {}).items():
-        try:
-            index = int(key)
-        except ValueError:
-            violations.append(f"proposed_id_map: bad original index {key!r}")
-            continue
-        ids = []
-        for value in values:
-            node = _parse_node_id(value, violations, f"proposed_id_map[{key}]")
-            if node is not None:
-                ids.append(node)
-        id_map[index] = tuple(ids)
+    for key, values in obj["proposed_id_map"].items():
+        ids = [_parse_node_id(value, violations, f"proposed_id_map[{key}]")
+               for value in values]
+        id_map[int(key)] = tuple(node for node in ids if node is not None)
     return id_map
 
 
 def _parse_stage(envelope_class, obj: dict):
     violations: list[str] = []
-    tokens = parse_stage_tokens(obj, violations)
     envelope = envelope_class(
-        sentence_id=str(obj.get("sentence_id", "")),
-        tokens=tokens,
+        sentence_id=obj["sentence_id"],
+        tokens=parse_stage_tokens(obj, violations),
         id_map=parse_id_map(obj, violations),
-        summary=str(obj.get("summary_notes", "") or ""),
+        summary=obj.get("summary_notes") or "",
         confidence=obj.get("confidence"),
     )
     return envelope, violations
@@ -254,26 +238,25 @@ def parse_lsr(obj: dict) -> tuple[LsrOutput, list[str]]:
 def parse_core(obj: dict) -> tuple[CoreOutput, list[str]]:
     violations: list[str] = []
     tokens: list[CoreToken] = []
-    for i, raw in enumerate(obj.get("annotated_tokens", ())):
-        context = f"annotated_tokens[{i}]"
-        node = _parse_node_id(raw.get("proposed_ID"), violations, context)
+    for i, raw in enumerate(obj["annotated_tokens"]):
+        node = _parse_node_id(raw["proposed_ID"], violations, f"annotated_tokens[{i}]")
         if node is None:
             continue
         tokens.append(CoreToken(
             proposed_id=node,
-            form=str(raw.get("FORM", "") or ""),
-            lemma=str(raw.get("LEMMA", "") or ""),
-            upos=str(raw.get("UPOS", "") or ""),
-            head_id=str(raw.get("HEAD_ID", "") or ""),
-            head_form=str(raw.get("HEAD_FORM", "") or ""),
-            deprel=str(raw.get("DEPREL", "") or ""),
+            form=raw["FORM"],
+            lemma=raw.get("LEMMA") or "",
+            upos=raw["UPOS"],
+            head_id=raw["HEAD_ID"],
+            head_form=raw.get("HEAD_FORM") or "",
+            deprel=raw["DEPREL"],
             confidence=raw.get("core_confidence"),
-            notes=str(raw.get("core_notes", "") or ""),
+            notes=raw.get("core_notes") or "",
         ))
     envelope = CoreOutput(
-        sentence_id=str(obj.get("sentence_id", "")),
+        sentence_id=obj["sentence_id"],
         tokens=tuple(tokens),
-        summary=str(obj.get("summary_notes", "") or ""),
+        summary=obj.get("summary_notes") or "",
     )
     return envelope, violations
 
@@ -291,8 +274,9 @@ def build_id_map(tokens: Iterable[PipelineToken]) -> dict:
 
 # --- semantic validation ----------------------------------------------------------
 
-def _check_stage_tokens(envelope: SphOutput, input_sentence: Sentence,
-                        violations: list[str]) -> None:
+def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:
+    """The checks every stage-token envelope, SPH's and LSR's, must pass."""
+    violations: list[str] = []
     tokens = envelope.tokens
     if envelope.sentence_id != input_sentence.sentence_id:
         violations.append(
@@ -300,7 +284,7 @@ def _check_stage_tokens(envelope: SphOutput, input_sentence: Sentence,
             f"{input_sentence.sentence_id!r}")
     if not tokens:
         violations.append("token list is empty")
-        return
+        return violations
 
     ids = [t.proposed_id for t in tokens]
     if len(set(ids)) != len(ids):
@@ -336,11 +320,6 @@ def _check_stage_tokens(envelope: SphOutput, input_sentence: Sentence,
             violations.append(
                 f"spoken_anchor {token.spoken_anchor} of {token.proposed_id} "
                 f"does not exist")
-        for name, value in (("sph_confidence", token.sph_confidence),
-                            ("lsr_confidence", token.lsr_confidence)):
-            if value is not None and not 0.0 <= value <= 1.0:
-                violations.append(
-                    f"{name} of {token.proposed_id} outside [0,1]: {value}")
 
     expected_indexes = set(range(1, len(input_sentence.tokens) + 1))
     actual = build_id_map(tokens)
@@ -364,6 +343,7 @@ def _check_stage_tokens(envelope: SphOutput, input_sentence: Sentence,
                 violations.append(
                     f"unsplit token at original index {index} must keep its "
                     f"form {original!r}, got {group[0].split_token!r}")
+    return violations
 
 
 def _fmt_map(id_map: dict) -> str:
@@ -371,18 +351,9 @@ def _fmt_map(id_map: dict) -> str:
                            for k, v in sorted(id_map.items())) + "}"
 
 
-def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:
-    violations: list[str] = []
-    _check_stage_tokens(envelope, input_sentence, violations)
-    if envelope.confidence is not None and not 0.0 <= envelope.confidence <= 1.0:
-        violations.append(f"confidence outside [0,1]: {envelope.confidence}")
-    return violations
-
-
 def validate_lsr(envelope: LsrOutput, sph: SphOutput,
                  input_sentence: Sentence) -> list[str]:
-    violations: list[str] = []
-    _check_stage_tokens(envelope, input_sentence, violations)
+    violations = validate_sph(envelope, input_sentence)
 
     sph_by_index: dict[int, list[PipelineToken]] = {}
     for token in sph.tokens:
@@ -455,9 +426,6 @@ def validate_core(envelope: CoreOutput, lsr: LsrOutput,
             if base not in allowed_deprels:
                 violations.append(
                     f"DEPREL {token.deprel!r} of {token.proposed_id} is not allowed")
-        if token.confidence is not None and not 0.0 <= token.confidence <= 1.0:
-            violations.append(
-                f"core_confidence of {token.proposed_id} outside [0,1]")
     return violations
 
 

@@ -1,18 +1,26 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spokenud.backends import StubBackend
+from spokenud.backends import ReplayStore, StubBackend
 from spokenud.config import load_config
+from spokenud.core import SpokenUdError
 from spokenud.ioformats import DuplicateSentenceId
 from spokenud.pipeline import (
+    FinalParse,
     SchemaViolation,
     SentenceFailure,
+    agents,
+    driver,
     parse_sentence,
     run_agent,
     run_batch,
+    seed_replay_store,
 )
 from spokenud.pipeline.envelopes import build_id_map
+from spokenud.pipeline.prompts import STAGES
 
 from pipeline_helpers import core_from, input_sentence, sph_lsr
 
@@ -171,3 +179,112 @@ def test_run_batch_rejects_duplicate_ids_before_any_backend_call(config, workers
     with pytest.raises(DuplicateSentenceId, match="d1"):
         run_batch(sentences, StubBackend(script=script), config, workers=workers)
     assert calls == []
+
+
+# --- decoding and seeding ------------------------------------------------------
+
+def with_value(stage, key, value, responses):
+    """``responses`` with ``key`` set to ``value`` in the stage's response: on
+    its root for ``confidence``, else on its first token."""
+    obj = json.loads(responses[stage])
+    target = obj if key == "confidence" else \
+        obj["annotated_tokens" if stage == "core" else "tokens"][0]
+    target[key] = value
+    return dict(responses, **{stage: json.dumps(obj)})  # NaN is written as NaN
+
+
+CONFIDENCE_KEYS = [("sph", "sph_confidence"), ("sph", "confidence"),
+                   ("lsr", "lsr_confidence"), ("lsr", "confidence"),
+                   ("core", "core_confidence")]
+
+
+@pytest.mark.parametrize("stage, key", CONFIDENCE_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_confidence_is_retried_and_never_reaches_finalize(
+        config, monkeypatch, stage, key, value):
+    good = three_word_responses()
+    bad = with_value(stage, key, float(value), good)
+    constant = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[value]
+    violation = f"response is not valid JSON: {constant} is not a JSON number"
+    sentence = input_sentence("t1", ["yo", "creo", "si"])
+    finalized = []
+    real_finalize = driver.finalize
+    monkeypatch.setattr(driver, "finalize",
+                        lambda *args: finalized.append(args) or real_finalize(*args))
+
+    always_bad = StubBackend(script=lambda system, user, key: bad[key.split(".")[1]])
+    failure = parse_sentence(sentence, always_bad, config)
+    assert isinstance(failure, SentenceFailure) and failure.stage == stage.upper()
+    assert failure.violations == [violation] and finalized == []
+
+    prompts = []
+
+    def bad_once(system, user, key):
+        prompts.append(user)
+        return (bad if key == f"t1.{stage}" else good)[key.split(".")[1]]
+
+    assert isinstance(parse_sentence(sentence, StubBackend(script=bad_once), config),
+                      FinalParse)
+    assert len(finalized) == 1 and len(prompts) == 4
+    assert json.dumps(violation) in prompts[STAGES.index(stage) + 1]
+
+
+JSONISH = st.text(alphabet='{}[]":, 0123456789.eE-+tnrufalsNIiy\ufeff\\', max_size=14)
+JSON_TEXTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5).map(json.dumps)
+FIXTURE_TEXT = three_word_responses()["sph"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(raw=JSONISH | JSON_TEXTS | st.integers(0, len(FIXTURE_TEXT)).map(
+    lambda n: FIXTURE_TEXT[:n]) | st.sampled_from(
+        ["\ufeff{}", "{} {}", " {}\n", "[NaN, }", '{"a": -Infinity', "[1, NaN]"]))
+def test_decode_matches_json_loads_except_for_non_finite_constants(raw):
+    """A response is refused at its first NaN, Infinity or -Infinity, which
+    json.loads would accept; any other response json.loads refuses keeps the
+    retry text it had, and one it accepts decodes to the same object."""
+    constants = []
+    try:
+        expected = json.loads(raw, parse_constant=lambda c: constants.append(c) or 0)
+    except json.JSONDecodeError as err:
+        error = f"{constants[0]} is not a JSON number" if constants else err
+        assert agents._single_json_object(raw) == \
+            (None, [f"response is not valid JSON: {error}"])
+        return
+    if constants:
+        assert agents._single_json_object(raw) == (None, [
+            f"response is not valid JSON: {constants[0]} is not a JSON number"])
+    elif isinstance(expected, dict):
+        assert agents._single_json_object(raw) == (expected, [])
+    else:
+        assert agents._single_json_object(raw) == \
+            (None, ["response must be a single JSON object"])
+
+
+def test_an_integer_too_long_to_convert_is_retried_not_raised():
+    raw = '{"sentence_id": ' + "1" * 5000 + "}"
+    try:
+        json.loads(raw)
+    except ValueError as err:  # the interpreter's limit on integer digits
+        assert agents._single_json_object(raw) == \
+            (None, [f"response is not valid JSON: {err}"])
+    else:
+        assert agents._single_json_object(raw)[0] is not None
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("kind", ["not-json", "schema-invalid", "nan"])
+def test_seeding_a_bad_canned_response_names_its_stage(tmp_path, config, stage, kind):
+    good = three_word_responses()
+    key = "confidence" if stage != "core" else "core_confidence"
+    responses = {
+        "not-json": dict(good, **{stage: "this is not json at all"}),
+        "schema-invalid": dict(good, **{stage: json.dumps({"sentence_id": "t1"})}),
+        "nan": with_value(stage, key, float("nan"), good),
+    }[kind]
+    with pytest.raises(SpokenUdError, match=f"^canned {stage} response invalid: "):
+        seed_replay_store(ReplayStore(tmp_path), input_sentence("t1", ["yo", "creo", "si"]),
+                          responses, config.backend.model_name)

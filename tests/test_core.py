@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -77,6 +79,10 @@ def test_nodeid_transitivity(a, b, c):
 def test_root_sentinel_is_singleton_and_not_a_node():
     assert RootSentinel() is ROOT
     assert not isinstance(ROOT, NodeId)
+    # Protocols 0 and 1 used to rebuild it without __new__.
+    assert all(pickle.loads(pickle.dumps(ROOT, p)) is ROOT
+               for p in range(pickle.HIGHEST_PROTOCOL + 1))
+    assert copy.copy(ROOT) is ROOT and copy.deepcopy(ROOT) is ROOT
 
 
 # --- content relations ----------------------------------------------------

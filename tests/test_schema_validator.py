@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from spokenud.backends import StubBackend
 from spokenud.config import load_config
-from spokenud.core import SpokenUdError
+from spokenud.core import LANG_TAGS, SPOKEN_LABELS, SpokenUdError
 from spokenud.ioformats import load_manifest, manifest_entry_to_input_sentence
 from spokenud.pipeline import agents, run_agent
 from spokenud.pipeline.prompts import STAGES, stage_schema
@@ -165,6 +165,16 @@ def test_check_schema_runs_once_per_stage(monkeypatch):
     assert results == [[]] * (8 * 5 * len(STAGES))
     assert sorted(checked) == sorted(stage_schema(s)["$id"] for s in STAGES)
     assert sorted(compiled) == sorted(STAGES)
+
+
+@pytest.mark.parametrize("stage", ("sph", "lsr"))
+def test_label_enums_are_the_data_model_sets(stage):
+    """The parsers pass lang_tag and spoken_label on unchecked, and Token
+    refuses any value outside these sets."""
+    token = stage_schema(stage)["$defs"]["token"]["properties"]
+    for enum, allowed in ((token["lang_tag"]["enum"], set(LANG_TAGS)),
+                          (token["spoken_label"]["enum"], {*SPOKEN_LABELS, None})):
+        assert len(enum) == len(set(enum)) and set(enum) == allowed
 
 
 def test_broken_schema_fails_loudly(monkeypatch):
