@@ -8,7 +8,6 @@ environment variable only; config files never hold secrets.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -71,6 +70,8 @@ class BackendConfig:
 
 def request_fingerprint(system_prompt: str, user_prompt: str, model: str) -> str:
     """Stable content hash of a request; line endings are normalized."""
+    import hashlib
+
     payload = "\n".join((
         model,
         "##SYSTEM##",
@@ -208,9 +209,13 @@ class LiveBackend:
             if response.status_code != 200:
                 raise HttpStatus(response.status_code, response.text)
             try:
-                return response.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError) as err:
+                content = response.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise BackendError(f"malformed completion payload: {err}")
+            if not isinstance(content, str):
+                raise BackendError(f"completion for key {key!r} has non-string "
+                                   f"content: {type(content).__name__}")
+            return content
         raise last_error if last_error else BackendError("request failed")
 
 

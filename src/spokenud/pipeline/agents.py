@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import math
 import re
+import sys
 import threading
-
-import jsonschema
 
 from ..backends import ReplayStore, request_fingerprint
 from ..core import Sentence, SpokenUdError
@@ -37,6 +37,18 @@ class SchemaViolation(SpokenUdError):
         super().__init__(
             f"{stage.upper()} output invalid after {attempts} attempts: {summary}")
 
+
+# Only parse checks stage schemas, so eval, validate and report never load
+# jsonschema: its code runs on its first attribute access, which happens in
+# _validator under _validators_lock (on Python 3.11 that load is not thread-safe).
+jsonschema = sys.modules.get("jsonschema")
+if jsonschema is None:
+    _spec = importlib.util.find_spec("jsonschema")
+    if _spec is None:
+        raise ModuleNotFoundError("No module named 'jsonschema'", name="jsonschema")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    jsonschema = sys.modules["jsonschema"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(jsonschema)
 
 _validators: dict = {}
 _validators_lock = threading.Lock()
@@ -153,10 +165,11 @@ def _refuse_constant(name: str):
 
 def _single_json_object(raw: str) -> tuple[dict | None, list[str]]:
     """The response decoded by ``json.loads``, refusing the NaN, Infinity and
-    -Infinity that RFC 8259 does not allow: NaN would pass every schema bound."""
+    -Infinity that RFC 8259 does not allow: NaN would pass every schema bound.
+    Nesting past the recursion limit is invalid JSON too, not a crash."""
     try:
         obj = json.loads(raw, parse_constant=_refuse_constant)
-    except ValueError as err:  # JSONDecodeError, a refused constant, a huge int
+    except (ValueError, RecursionError) as err:  # also a refused constant, a huge int
         return None, [f"response is not valid JSON: {err}"]
     if not isinstance(obj, dict):
         return None, ["response must be a single JSON object"]

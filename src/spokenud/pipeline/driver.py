@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 from ..backends import BackendError
@@ -59,6 +58,8 @@ def run_batch(sentences: Iterable[Sentence], backend, config,
         for sentence in sentences:
             results[sentence.sentence_id] = parse_sentence(sentence, backend, config)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(parse_sentence, s, backend, config):
                        s.sentence_id for s in sentences}

@@ -275,13 +275,39 @@ def test_an_integer_too_long_to_convert_is_retried_not_raised():
         assert agents._single_json_object(raw)[0] is not None
 
 
+# Nested past the interpreter's recursion limit: json.loads raises RecursionError.
+DEEP = "[" * 100000
+
+
 @pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("kind", ["not-json", "schema-invalid", "nan"])
+def test_json_nested_past_the_recursion_limit_is_retried_not_raised(config, stage):
+    with pytest.raises(RecursionError) as err:
+        json.loads(DEEP)
+    violation = f"response is not valid JSON: {err.value}"
+    good = three_word_responses()
+    keys, prompts = [], []
+
+    def deep_once(system, user, key):
+        keys.append(key)
+        prompts.append(user)
+        return DEEP if key == f"t1.{stage}" else good[key.split(".")[1]]
+
+    sentence = input_sentence("t1", ["yo", "creo", "si"])
+    assert isinstance(parse_sentence(sentence, StubBackend(script=deep_once), config),
+                      FinalParse)
+    retry = keys.index(f"t1.{stage}") + 1
+    assert len(keys) == 4 and keys[retry] == f"t1.{stage}.retry1"
+    assert json.dumps(violation) in prompts[retry]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("kind", ["not-json", "schema-invalid", "nan", "deep"])
 def test_seeding_a_bad_canned_response_names_its_stage(tmp_path, config, stage, kind):
     good = three_word_responses()
     key = "confidence" if stage != "core" else "core_confidence"
     responses = {
         "not-json": dict(good, **{stage: "this is not json at all"}),
+        "deep": dict(good, **{stage: DEEP}),
         "schema-invalid": dict(good, **{stage: json.dumps({"sentence_id": "t1"})}),
         "nan": with_value(stage, key, float("nan"), good),
     }[kind]

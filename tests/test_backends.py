@@ -15,6 +15,10 @@ from spokenud.backends import (
     make_backend,
     request_fingerprint,
 )
+from spokenud.config import load_config
+from spokenud.pipeline import SentenceFailure, parse_sentence
+
+from pipeline_helpers import input_sentence
 
 
 def test_fingerprint_normalizes_line_endings():
@@ -125,6 +129,7 @@ def test_config_mode_requirements():
 
 class _MockCompletionHandler(BaseHTTPRequestHandler):
     status_queue: list = []
+    payload_queue: list = []  # completion payloads to send instead of the echo
     calls: list = []
 
     def do_POST(self):
@@ -137,7 +142,7 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         prompt = body["messages"][1]["content"]
-        payload = json.dumps({
+        payload = json.dumps(self.payload_queue.pop(0) if self.payload_queue else {
             "choices": [{"message": {"content": f"echo: {prompt}"}}],
         }).encode("utf-8")
         self.send_response(200)
@@ -153,12 +158,14 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def mock_server():
     _MockCompletionHandler.status_queue = []
+    _MockCompletionHandler.payload_queue = []
     _MockCompletionHandler.calls = []
     server = HTTPServer(("127.0.0.1", 0), _MockCompletionHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_live_round_trip(mock_server, monkeypatch):
@@ -186,6 +193,27 @@ def test_live_fatal_status_raises(mock_server, monkeypatch):
     with pytest.raises(HttpStatus) as err:
         make_backend(config).complete("sys", "ping")
     assert err.value.code == 401
+
+
+@pytest.mark.parametrize("message, error", [
+    ({"content": None}, "completion for key 's1.sph' has non-string content: NoneType"),
+    ({"content": 42}, "completion for key 's1.sph' has non-string content: int"),
+    (None, "malformed completion payload: 'NoneType' object is not subscriptable"),
+])
+def test_live_completion_without_string_content_is_a_backend_error(
+        mock_server, monkeypatch, message, error):
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
+    _MockCompletionHandler.payload_queue = [{"choices": [{"message": message}]}] * 2
+    with pytest.raises(BackendError) as err:
+        make_backend(config).complete("sys", "ping", key="s1.sph")
+    assert str(err.value) == error
+    assert len(_MockCompletionHandler.calls) == 1
+
+    failure = parse_sentence(input_sentence("t1", ["yo", "creo", "si"]),
+                             make_backend(config), load_config())
+    assert isinstance(failure, SentenceFailure) and failure.stage == "SPH"
+    assert failure.error == error.replace("s1.sph", "t1.sph")
 
 
 def test_record_then_replay_round_trip(mock_server, monkeypatch, tmp_path):
