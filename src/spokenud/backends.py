@@ -57,7 +57,6 @@ class BackendConfig:
     replay_dir: str | None = None
     max_in_flight: int = 4
     auth_env_var: str = "SPOKENUD_API_KEY"
-    stub_responses: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.mode not in ("live", "record", "replay", "stub"):
@@ -246,7 +245,7 @@ class ReplayBackend:
 
 def make_backend(config: BackendConfig):
     if config.mode == "stub":
-        return StubBackend(config.stub_responses)
+        return StubBackend()
     if config.mode == "live":
         return LiveBackend(config)
     if config.mode == "record":

@@ -32,7 +32,7 @@ from .core import (
     head_cycles,
 )
 from .metrics import head_matches, resolve_head
-from .reporting import Table
+from .reporting import CategoryTable, category_table
 
 LINK_KINDS = ("one_one", "gold_split", "system_split", "mwe",
               "unaligned_gold", "unaligned_system")
@@ -667,57 +667,19 @@ class FlexResult:
     score: FlexScore
 
 
-@dataclass(frozen=True)
-class FlexTable:
-    per_category: tuple[tuple[Category, int, tuple[float, ...] | None], ...]
-    overall: tuple[float, ...]
-
-    def to_table(self) -> Table:
-        rows = []
-        for category, n, values in self.per_category:
-            rows.append((category.display_label,) + self._cells(values))
-        rows.append(("Overall",) + self._cells(self.overall))
-        return Table(FLEX_TABLE_COLUMNS, tuple(rows))
-
-    def _cells(self, values: tuple[float, ...] | None) -> tuple[str, ...]:
-        if values is None:
-            return ("-",) * 5
-        return tuple(f"{v:.1f}" for v in values)
-
-    def to_markdown(self) -> str:
-        return self.to_table().to_markdown()
-
-    def to_csv(self) -> str:
-        return self.to_table().to_csv()
+def _mean_scores(results: list[FlexResult]) -> tuple[float, ...]:
+    """The mean (ID, UPOS, HEAD, DEPREL, Final), or zeros for no results."""
+    if not results:
+        return (0.0,) * 5
+    vectors = [r.score.components.astuple()[1:] + (r.score.final,) for r in results]
+    return tuple(sum(col) / len(col) for col in zip(*vectors))
 
 
-def flexud_report(results: Iterable[FlexResult]) -> FlexTable:
+def _mean_cells(values: tuple[float, ...]) -> tuple[str, ...]:
+    return tuple(f"{v:.1f}" for v in values)
+
+
+def flexud_report(results: Iterable[FlexResult]) -> CategoryTable:
     """Per-category averages of the component scores and Final, in the
     published layout (ID, UPOS, HEAD, DEPREL, Final)."""
-    results = list(results)
-    seen: set[str] = set()
-    for result in results:
-        if result.sentence_id in seen:
-            raise SpokenUdError(f"duplicate sentence id: {result.sentence_id}")
-        seen.add(result.sentence_id)
-
-    def vector(score: FlexScore) -> tuple[float, ...]:
-        c = score.components
-        return (c.s_id, c.s_upos, c.s_head, c.s_deprel, score.final)
-
-    def mean(scores: list[FlexScore]) -> tuple[float, ...]:
-        vectors = [vector(s) for s in scores]
-        return tuple(sum(col) / len(col) for col in zip(*vectors))
-
-    by_category: dict[Category, list[FlexScore]] = {}
-    for result in results:
-        if result.category is not None:
-            by_category.setdefault(result.category, []).append(result.score)
-
-    per_category = []
-    for category in Category:
-        scores = by_category.get(category)
-        per_category.append((category, len(scores) if scores else 0,
-                             mean(scores) if scores else None))
-    overall = mean([r.score for r in results]) if results else (0.0,) * 5
-    return FlexTable(tuple(per_category), overall)
+    return category_table(results, FLEX_TABLE_COLUMNS, _mean_scores, _mean_cells)

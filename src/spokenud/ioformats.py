@@ -463,6 +463,9 @@ def load_manifest(path) -> BenchmarkManifest:
             if not isinstance(obj, dict):
                 raise SpokenUdError(f"{where}: expected a JSON object")
             if line_no == 1 and "category_counts" in obj:
+                if not isinstance(obj["category_counts"], dict):
+                    raise SpokenUdError(f"{where}: category_counts must be an object, "
+                                        f"found {obj['category_counts']!r}")
                 declared = {Category.from_label(k): v
                             for k, v in obj["category_counts"].items()}
                 continue
@@ -484,6 +487,13 @@ def load_manifest(path) -> BenchmarkManifest:
             category = Category.from_label(obj["category"])
             tokens = tuple((t["form"], t.get("lang_tag", "unknown"))
                            for t in obj["tokens"])
+            for _, lang in tokens:
+                if lang not in LANG_TAGS:
+                    raise SpokenUdError(f"{where}: lang_tag must be one of "
+                                        f"{', '.join(LANG_TAGS)}, found {lang!r}")
+            if not isinstance(obj["gold_conllu"], str):
+                raise SpokenUdError(f"{where}: gold_conllu must be a string, "
+                                    f"found {obj['gold_conllu']!r}")
             gold_sentences = parse_conllu(obj["gold_conllu"])
             if len(gold_sentences) != 1:
                 raise SpokenUdError(

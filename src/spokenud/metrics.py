@@ -21,7 +21,7 @@ from .core import (
     annotatable_tokens,
     is_content_relation,
 )
-from .reporting import Table
+from .reporting import CategoryTable, category_table
 
 STANDARD_TABLE_COLUMNS = ("Category", "LAS", "UAS", "CLAS", "U-LAS")
 
@@ -146,31 +146,12 @@ class SentenceResult:
     scores: StandardScores
 
 
-@dataclass(frozen=True)
-class CategoryTable:
-    """Per-category micro-averaged scores plus an Overall row."""
-
-    per_category: tuple[tuple[Category, int, StandardScores | None], ...]
-    overall: StandardScores
-    total_sentences: int
-
-    def to_table(self) -> Table:
-        rows = []
-        for category, n, scores in self.per_category:
-            rows.append((category.display_label,) + _score_cells(scores))
-        rows.append(("Overall",) + _score_cells(self.overall))
-        return Table(STANDARD_TABLE_COLUMNS, tuple(rows))
-
-    def to_markdown(self) -> str:
-        return self.to_table().to_markdown()
-
-    def to_csv(self) -> str:
-        return self.to_table().to_csv()
+def _micro_average(results: list[SentenceResult]) -> StandardScores:
+    return StandardScores.from_counts(
+        sum((result.scores.counts for result in results), AttachmentCounts()))
 
 
-def _score_cells(scores: StandardScores | None) -> tuple[str, ...]:
-    if scores is None:
-        return ("-", "-", "-", "-")
+def _score_cells(scores: StandardScores) -> tuple[str, ...]:
     return (f"{scores.las:.2f}", f"{scores.uas:.2f}",
             f"{scores.clas:.2f}", f"{scores.upos_acc:.2f}")
 
@@ -178,31 +159,4 @@ def _score_cells(scores: StandardScores | None) -> tuple[str, ...]:
 def aggregate_by_category(results: Iterable[SentenceResult]) -> CategoryTable:
     """Micro-average per category; rows follow the fixed category order and
     end with None then Overall."""
-    results = list(results)
-    seen: set[str] = set()
-    for result in results:
-        if result.sentence_id in seen:
-            raise SpokenUdError(f"duplicate sentence id: {result.sentence_id}")
-        seen.add(result.sentence_id)
-
-    sums: dict[Category, AttachmentCounts] = {}
-    counts: dict[Category, int] = {}
-    total = AttachmentCounts()
-    for result in results:
-        total += result.scores.counts
-        if result.category is None:
-            continue
-        sums[result.category] = sums.get(result.category, AttachmentCounts()) \
-            + result.scores.counts
-        counts[result.category] = counts.get(result.category, 0) + 1
-
-    per_category = []
-    for category in Category:
-        if category in sums:
-            per_category.append((category, counts[category],
-                                 StandardScores.from_counts(sums[category])))
-        else:
-            per_category.append((category, 0, None))
-    return CategoryTable(tuple(per_category),
-                         overall=StandardScores.from_counts(total),
-                         total_sentences=len(results))
+    return category_table(results, STANDARD_TABLE_COLUMNS, _micro_average, _score_cells)

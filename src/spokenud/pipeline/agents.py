@@ -9,9 +9,10 @@ import math
 import re
 import sys
 import threading
+from types import SimpleNamespace
 
-from ..backends import ReplayStore, request_fingerprint
-from ..core import Sentence, SpokenUdError
+from ..backends import ReplayStore, StubBackend, request_fingerprint
+from ..core import UD_RELATIONS, UPOS_TAGS, Sentence, SpokenUdError
 from .envelopes import (
     apply_mwe_whitelist,
     envelope_to_json_text,
@@ -239,25 +240,24 @@ def seed_replay_store(store: ReplayStore, sentence: Sentence,
                       mwe_whitelist=()) -> None:
     """Record canned stage responses under the fingerprints live runs compute.
 
-    ``responses`` maps stage name to raw response text. Each canned output
-    passes run_agent's decode and schema check and is parsed (and whitelist
-    MWEs applied, mirroring run_agent) to derive the next stage's prompt, so
-    replay-mode lookups hit the recorded entries.
+    ``responses`` maps stage name to raw response text. Each stage runs
+    through run_agent with no retry (Core checked against the shipped UPOS
+    tags and relations), answered by its canned text, so a response a replay
+    run would refuse raises an error naming its stage; a stage's request is
+    recorded only once it passes, and its envelope drives the next prompt.
     """
-    payload = input_payload(sentence)
+    config = SimpleNamespace(agent_retries=0, mwe_whitelist=mwe_whitelist,
+                             allowed_upos=UPOS_TAGS, allowed_deprels=UD_RELATIONS)
+    upstream = sentence
     for stage in STAGES:
-        obj, violations = _single_json_object(responses[stage])
-        if obj is not None:
-            violations = _schema_violations(stage, obj)
-        if not violations and stage != "core":
-            envelope, violations = (parse_sph if stage == "sph" else parse_lsr)(obj)
-        if violations:
-            raise SpokenUdError(f"canned {stage} response invalid: {violations}")
-        system_prompt, user_prompt = render_prompt(stage, envelope_to_json_text(payload))
-        store.save(f"{sentence.sentence_id}.{stage}",
-                   request_fingerprint(system_prompt, user_prompt, model),
-                   responses[stage])
-        if stage == "lsr":
-            envelope, _ = apply_mwe_whitelist(envelope, mwe_whitelist)
-        if stage != "core":
-            payload = envelope.to_payload()
+        requests = []
+
+        def answer(system_prompt, user_prompt, key, raw=responses[stage]):
+            requests.append((key, request_fingerprint(system_prompt, user_prompt, model)))
+            return raw
+        try:
+            upstream = run_agent(stage, upstream, StubBackend(script=answer), config,
+                                 input_sentence=sentence)
+        except SchemaViolation as err:
+            raise SpokenUdError(f"canned {stage} response invalid: {err.violations}") from None
+        store.save(*requests[0], responses[stage])

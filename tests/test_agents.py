@@ -300,17 +300,39 @@ def test_json_nested_past_the_recursion_limit_is_retried_not_raised(config, stag
     assert json.dumps(violation) in prompts[retry]
 
 
+def semantic_defect(stage, good):
+    """``good`` with the stage's response one its schema admits but its
+    semantic validator refuses, and the violation the refusal names."""
+    if stage == "sph":
+        sph = dict(json.loads(good["sph"]), sentence_id="t2")
+        return dict(good, sph=json.dumps(sph)), "sentence_id 't2' does not match input 't1'"
+    if stage == "lsr":
+        return with_value("lsr", "lemma", "YO", good), "lemma of 1 must be lowercase: 'YO'"
+    core = canned("t1", ["yo", "creo", "si"], annotations=[
+        ("1", "PRON", "0", "root"), ("2", "VERB", "0", "root"),
+        ("3", "INTJ", "2", "discourse")])["core"]
+    return dict(good, core=core), 'exactly one token must have HEAD_ID "0", found 2'
+
+
 @pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("kind", ["not-json", "schema-invalid", "nan", "deep"])
+@pytest.mark.parametrize("kind", ["not-json", "schema-invalid", "nan", "deep", "semantic"])
 def test_seeding_a_bad_canned_response_names_its_stage(tmp_path, config, stage, kind):
     good = three_word_responses()
     key = "confidence" if stage != "core" else "core_confidence"
-    responses = {
-        "not-json": dict(good, **{stage: "this is not json at all"}),
-        "deep": dict(good, **{stage: DEEP}),
-        "schema-invalid": dict(good, **{stage: json.dumps({"sentence_id": "t1"})}),
-        "nan": with_value(stage, key, float("nan"), good),
-    }[kind]
-    with pytest.raises(SpokenUdError, match=f"^canned {stage} response invalid: "):
+    violation = ""
+    if kind == "semantic":
+        responses, violation = semantic_defect(stage, good)
+    else:
+        responses = {
+            "not-json": dict(good, **{stage: "this is not json at all"}),
+            "deep": dict(good, **{stage: DEEP}),
+            "schema-invalid": dict(good, **{stage: json.dumps({"sentence_id": "t1"})}),
+            "nan": with_value(stage, key, float("nan"), good),
+        }[kind]
+    with pytest.raises(SpokenUdError, match=f"^canned {stage} response invalid: ") as err:
         seed_replay_store(ReplayStore(tmp_path), input_sentence("t1", ["yo", "creo", "si"]),
                           responses, config.backend.model_name)
+    assert violation in str(err.value)
+    # Only the stages before the refused one are recorded.
+    assert {path.name for path in tmp_path.iterdir()} == {
+        f"t1.{earlier}.json" for earlier in STAGES[:STAGES.index(stage)]}

@@ -432,6 +432,39 @@ def test_parse_bad_manifest_token_exits_one_before_any_backend_call(
     assert not out.exists()
 
 
+def _set_first_lang_tag(obj, tag):
+    obj["tokens"][0]["lang_tag"] = tag
+    return obj
+
+
+@pytest.mark.parametrize("line_no, edit, message", [
+    (1, lambda obj: {"category_counts": [1]},
+     "category_counts must be an object, found [1]"),
+    (3, lambda obj: dict(obj, gold_conllu=3), "gold_conllu must be a string, found 3"),
+    (3, lambda obj: _set_first_lang_tag(obj, "en"),
+     "lang_tag must be one of eng, spa, mixed, unknown, found 'en'"),
+    (3, lambda obj: _set_first_lang_tag(obj, 5),
+     "lang_tag must be one of eng, spa, mixed, unknown, found 5"),
+], ids=["category-counts-not-an-object", "gold-conllu-not-a-string",
+        "unknown-lang-tag", "lang-tag-not-a-string"])
+def test_parse_manifest_value_of_wrong_shape_exits_one_and_names_it(
+        tmp_path, manifest_path, capsys, monkeypatch, line_no, edit, message):
+    lines = Path(manifest_path).read_text("utf-8").splitlines()
+    lines[line_no - 1] = json.dumps(edit(json.loads(lines[line_no - 1])))
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def no_backend(config):
+        raise AssertionError("a backend was made")
+
+    monkeypatch.setattr("spokenud.cli.make_backend", no_backend)
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", path, "--out", out,
+                "--backend-mode", "stub"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line {line_no}: {message}\n"
+    assert not out.exists()
+
+
 def test_failures_jsonl_records_attempts_and_violations(
         tmp_path, manifest_path, monkeypatch):
     from spokenud.backends import StubBackend

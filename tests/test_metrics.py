@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from spokenud.core import ROOT, Category, NodeId, Sentence, Token
-from spokenud.flexud import align_tokens
+from spokenud.core import ROOT, Category, NodeId, Sentence, SpokenUdError, Token
+from spokenud.flexud import (
+    DEFAULT_WEIGHTS,
+    ComponentScores,
+    FlexResult,
+    FlexScore,
+    SeverityReport,
+    align_tokens,
+    flexud_report,
+)
 from spokenud.metrics import (
     STANDARD_TABLE_COLUMNS,
     AttachmentCounts,
@@ -144,11 +152,21 @@ def test_aggregate_order_invariance():
     assert aggregate_by_category(shuffled) == forward
 
 
-def test_aggregate_rejects_duplicate_ids():
-    from spokenud.core import SpokenUdError
-    with pytest.raises(SpokenUdError):
-        aggregate_by_category([make_result("x", Category.NONE, 1, 1),
-                               make_result("x", Category.NONE, 1, 1)])
+def make_flex_result(sid, category, *_):
+    score = FlexScore(ComponentScores(100, 90, 80, 70, 60), DEFAULT_WEIGHTS, raw=75.0,
+                      severity=SeverityReport((), 0.0), final=70, diagnostics=())
+    return FlexResult(sid, category, score)
+
+
+@pytest.mark.parametrize("tabulate, make", [
+    (aggregate_by_category, make_result),
+    (flexud_report, make_flex_result),
+], ids=["aggregate_by_category", "flexud_report"])
+def test_aggregate_rejects_duplicate_ids(tabulate, make):
+    # The two results share an id but not a category.
+    with pytest.raises(SpokenUdError, match="^duplicate sentence id: x$"):
+        tabulate([make("x", Category.NONE, 1, 1), make("y", Category.NONE, 1, 1),
+                  make("x", Category.SIMPLE_REPETITION, 1, 1)])
 
 
 def test_single_sentence_category_row_equals_sentence():
