@@ -10,7 +10,6 @@ from .core import (
     Token,
     ValidationReport,
     is_content_relation,
-    topological_order,
     validate_tree,
 )
 from .flexud import (
@@ -50,8 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Category", "NodeId", "ROOT", "RootSentinel", "Sentence", "SpokenUdError",
-    "Token", "ValidationReport", "is_content_relation", "topological_order",
-    "validate_tree",
+    "Token", "ValidationReport", "is_content_relation", "validate_tree",
     "Alignment", "ComponentScores", "FlexScore", "PenaltySchedule",
     "SeverityReport", "ToleranceConfig", "Weights", "align_tokens",
     "component_scores", "detect_severity", "evaluate_sentence", "flexud_final",

@@ -12,20 +12,12 @@ import enum
 import functools
 import operator
 import re
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 
 class SpokenUdError(Exception):
     """Base class for all toolkit errors."""
-
-
-class CycleFound(SpokenUdError):
-    def __init__(self, members: Iterable["NodeId"]):
-        self.members = tuple(members)
-        ids = ", ".join(str(m) for m in self.members)
-        super().__init__(f"head links form a cycle: {ids}")
 
 
 # The 17 universal POS tags.
@@ -413,28 +405,3 @@ def head_cycles(nodes: Iterable, present: set[NodeId]) -> list[list[NodeId]]:
             color[visited] = 2
     cycles.sort(key=lambda c: (len(c), c[0]._key()))
     return cycles
-
-
-def topological_order(sentence: Sentence) -> list[NodeId]:
-    """Head-before-dependent ordering of all node ids.
-
-    Raises CycleFound carrying the smallest cycle when the head links are
-    cyclic. Requires that no head reference dangles.
-    """
-    present = {t.id for t in sentence.tokens}
-    cycles = head_cycles(sentence.tokens, present)
-    if cycles:
-        raise CycleFound(cycles[0])
-    children: dict[NodeId, list[NodeId]] = {t.id: [] for t in sentence.tokens}
-    order: list[NodeId] = []
-    queue: deque[NodeId] = deque()
-    for token in sentence.tokens:
-        if isinstance(token.head, NodeId):
-            children[token.head].append(token.id)
-        else:
-            queue.append(token.id)
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        queue.extend(children[node])
-    return order

@@ -445,7 +445,8 @@ def load_manifest(path) -> BenchmarkManifest:
 
     Each line holds one object with keys sentence_id, category, tokens and
     gold_conllu. An optional leading line with a ``category_counts`` object
-    declares the expected per-category distribution and is checked.
+    declares the expected per-category distribution and is checked. Every
+    refusal names the path and the line.
     """
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
@@ -455,65 +456,87 @@ def load_manifest(path) -> BenchmarkManifest:
             line = line.strip()
             if not line:
                 continue
-            where = f"{path}: line {line_no}"
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise SpokenUdError(f"{where}: not valid JSON: {err}") from err
-            if not isinstance(obj, dict):
-                raise SpokenUdError(f"{where}: expected a JSON object")
-            if line_no == 1 and "category_counts" in obj:
-                if not isinstance(obj["category_counts"], dict):
-                    raise SpokenUdError(f"{where}: category_counts must be an object, "
-                                        f"found {obj['category_counts']!r}")
-                declared = {Category.from_label(k): v
-                            for k, v in obj["category_counts"].items()}
-                continue
-            sid = obj.get("sentence_id")
-            if not isinstance(sid, str) or not sid:
-                raise SpokenUdError(
-                    f"{where}: sentence_id must be a non-empty string, found {sid!r}")
-            if sid in seen:
-                raise DuplicateSentenceId(sid)
-            seen.add(sid)
-            for key in ("category", "tokens", "gold_conllu"):
-                if key not in obj:
-                    raise SpokenUdError(f"{where}: missing key {key!r}")
-            if not isinstance(obj["tokens"], list) or not all(
-                    isinstance(t, dict) and isinstance(t.get("form"), str)
-                    for t in obj["tokens"]):
-                raise SpokenUdError(
-                    f"{where}: tokens must be objects with a string 'form'")
-            category = Category.from_label(obj["category"])
-            tokens = tuple((t["form"], t.get("lang_tag", "unknown"))
-                           for t in obj["tokens"])
-            for _, lang in tokens:
-                if lang not in LANG_TAGS:
-                    raise SpokenUdError(f"{where}: lang_tag must be one of "
-                                        f"{', '.join(LANG_TAGS)}, found {lang!r}")
-            if not isinstance(obj["gold_conllu"], str):
-                raise SpokenUdError(f"{where}: gold_conllu must be a string, "
-                                    f"found {obj['gold_conllu']!r}")
-            gold_sentences = parse_conllu(obj["gold_conllu"])
-            if len(gold_sentences) != 1:
-                raise SpokenUdError(
-                    f"manifest entry {sid}: gold_conllu must hold exactly one "
-                    f"sentence, found {len(gold_sentences)}")
-            gold = gold_sentences[0]
-            if gold.sentence_id and gold.sentence_id != sid:
-                raise SpokenUdError(
-                    f"manifest entry {sid}: embedded gold is labeled "
-                    f"{gold.sentence_id!r}")
-            gold = Sentence(sentence_id=sid, tokens=gold.tokens,
-                            category=category, metadata=gold.metadata)
-            entries.append(ManifestEntry(sid, category, tokens, gold))
+                obj = _manifest_object(line)
+                if line_no == 1 and "category_counts" in obj:
+                    declared = _declared_counts(obj["category_counts"])
+                else:
+                    entries.append(_manifest_entry(obj, seen))
+            except SpokenUdError as err:
+                # Keep the error's type; prefix its message with the location.
+                err.args = (f"{path}: line {line_no}: {err}",)
+                raise
     manifest = BenchmarkManifest(tuple(entries), declared)
     if declared:
         actual = manifest.category_distribution()
-        if {k: v for k, v in actual.items()} != {k: v for k, v in declared.items() if v}:
+        if actual != {k: v for k, v in declared.items() if v}:
             raise CategoryCountMismatch(
-                f"declared {declared} but found {actual}")
+                f"{path}: line 1: declared {_counts_text(declared)} but found "
+                f"{_counts_text(actual)}")
     return manifest
+
+
+def _manifest_object(line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise SpokenUdError(f"not valid JSON: {err}") from err
+    if not isinstance(obj, dict):
+        raise SpokenUdError("expected a JSON object")
+    return obj
+
+
+def _declared_counts(counts) -> dict[Category, int]:
+    if not isinstance(counts, dict):
+        raise SpokenUdError(f"category_counts must be an object, found {counts!r}")
+    declared = {}
+    for label, count in counts.items():
+        if type(count) is not int or count < 0:
+            raise SpokenUdError(f"category count of {label} must be a "
+                                f"non-negative integer, found {count!r}")
+        declared[Category.from_label(label)] = count
+    return declared
+
+
+def _counts_text(counts: dict) -> str:
+    return "{" + ", ".join(f"{c.value}: {n}" for c, n in counts.items()) + "}"
+
+
+def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
+    sid = obj.get("sentence_id")
+    if not isinstance(sid, str) or not sid:
+        raise SpokenUdError(f"sentence_id must be a non-empty string, found {sid!r}")
+    if sid in seen:
+        raise DuplicateSentenceId(sid)
+    seen.add(sid)
+    for key in ("category", "tokens", "gold_conllu"):
+        if key not in obj:
+            raise SpokenUdError(f"missing key {key!r}")
+    if not isinstance(obj["tokens"], list) or not all(
+            isinstance(t, dict) and isinstance(t.get("form"), str)
+            for t in obj["tokens"]):
+        raise SpokenUdError("tokens must be objects with a string 'form'")
+    category = Category.from_label(obj["category"])
+    tokens = tuple((t["form"], t.get("lang_tag", "unknown")) for t in obj["tokens"])
+    for _, lang in tokens:
+        if lang not in LANG_TAGS:
+            raise SpokenUdError(f"lang_tag must be one of {', '.join(LANG_TAGS)}, "
+                                f"found {lang!r}")
+    if not isinstance(obj["gold_conllu"], str):
+        raise SpokenUdError(f"gold_conllu must be a string, found {obj['gold_conllu']!r}")
+    try:
+        gold_sentences = parse_conllu(obj["gold_conllu"])
+    except SpokenUdError as err:
+        raise SpokenUdError(f"gold_conllu: {err}") from err
+    if len(gold_sentences) != 1:
+        raise SpokenUdError(f"gold_conllu must hold exactly one sentence, "
+                            f"found {len(gold_sentences)}")
+    gold = gold_sentences[0]
+    if gold.sentence_id and gold.sentence_id != sid:
+        raise SpokenUdError(f"embedded gold of {sid} is labeled {gold.sentence_id!r}")
+    gold = Sentence(sentence_id=sid, tokens=gold.tokens,
+                    category=category, metadata=gold.metadata)
+    return ManifestEntry(sid, category, tokens, gold)
 
 
 def manifest_entry_to_input_sentence(entry: ManifestEntry) -> Sentence:

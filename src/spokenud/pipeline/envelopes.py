@@ -1,4 +1,4 @@
-"""Validated structured outputs of the three model stages plus the final table.
+"""Validated structured outputs of the three model stages plus the final parse.
 
 Each stage returns a single JSON object. Parsing happens in two layers: the
 published JSON schema checks shape, types and bounds, and the parsers below
@@ -19,6 +19,7 @@ from ..core import (
     NodeId,
     Sentence,
     SpokenUdError,
+    Token,
     UPOS_TAGS,
     UD_RELATIONS,
     base_deprel,
@@ -26,7 +27,6 @@ from ..core import (
     dotted_span,
     mwe_components,
 )
-from ..ioformats import SheetRow
 
 
 class IrreconcilableEnvelopes(SpokenUdError):
@@ -111,7 +111,7 @@ class CoreOutput:
 @dataclass(frozen=True)
 class FinalParse:
     sentence_id: str
-    rows: tuple[SheetRow, ...]
+    tokens: tuple[Token, ...]
     adjudication_log: tuple[str, ...]
     final_summary: str = ""
 

@@ -1,4 +1,4 @@
-"""Deterministic merge-validate-repair producing the final annotation table.
+"""Deterministic merge-validate-repair producing the final parse.
 
 Authority runs Core over LSR over SPH: the merge prefers Core values and
 fills gaps from the earlier stages. Structural problems are repaired in a
@@ -27,7 +27,6 @@ from ..core import (
     mwe_components,
     validate_tree,
 )
-from ..ioformats import SheetRow
 from .envelopes import (
     CoreOutput,
     CoreToken,
@@ -54,7 +53,6 @@ class _Row:
     head: object  # raw text before resolution; ROOT | NodeId | None after
     head_form: str
     deprel: str
-    lang_tag: str
     spoken_label: str | None
     spoken_anchor: NodeId | None
     component: bool = False
@@ -111,10 +109,9 @@ def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
     repair_cycles_rows(rows, root, log)
 
     rows.sort(key=lambda r: r.id._key())
-    sheet_rows = _to_sheet_rows(sph.sentence_id, rows)
     parse = FinalParse(
         sentence_id=sph.sentence_id,
-        rows=tuple(sheet_rows),
+        tokens=tuple(_final_token(row) for row in rows),
         adjudication_log=tuple(log),
         final_summary=(f"{len(rows)} nodes, "
                        f"{sum(r.repairs for r in rows)} structural repairs"),
@@ -159,7 +156,6 @@ def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
             head_form=annotated.head_form if annotated else "",
             deprel=(canonical_deprel(annotated.deprel)
                     if annotated and annotated.deprel else ""),
-            lang_tag=token.lang_tag,
             spoken_label=token.spoken_label,
             spoken_anchor=token.spoken_anchor,
             sph_conf=sph_conf.get(token.proposed_id),
@@ -188,7 +184,6 @@ def _strip_component_annotations(rows: list[_Row], log: list) -> None:
             row.upos = ""
             row.deprel = ""
             row.head = ""
-        row.form = ""
 
 
 def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
@@ -398,64 +393,24 @@ def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
     raise AssertionError("cycle repair did not terminate within the node budget")
 
 
-def _to_sheet_rows(sentence_id: str, rows: list[_Row]) -> list[SheetRow]:
-    sheet_of = {row.id: i for i, row in enumerate(rows, start=1)}
-    form_of = {row.id: row.form for row in rows}
-    out = []
-    for row in rows:
-        if row.head is ROOT:
-            head_id, sheet_head, head_text = "0", 0, "root"
-        elif isinstance(row.head, NodeId):
-            head_id = str(row.head)
-            sheet_head = sheet_of[row.head]
-            head_text = form_of[row.head]
-        else:
-            head_id, sheet_head, head_text = "", None, ""
-        confidence = _combined_confidence(row)
-        if row.repairs:
-            confidence *= REPAIR_DAMPING
-        out.append(SheetRow(
-            sentence_id=sentence_id,
-            orig_token_index=row.orig_token_index,
-            split_token=row.split_token,
-            id=row.id,
-            sheet_id=sheet_of[row.id],
-            form=row.form,
-            lemma=row.lemma,
-            upos=row.upos,
-            head_id=head_id,
-            sheet_head_id=sheet_head,
-            head=head_text,
-            deprel=row.deprel,
-            final_confidence=round(confidence, 3),
-            penalty=min(1.0, REPAIR_PENALTY_STEP * row.repairs),
-            adjudication_note="; ".join(row.notes),
-        ))
-    return out
+def _final_token(row: _Row) -> Token:
+    confidence = _combined_confidence(row)
+    if row.repairs:
+        confidence *= REPAIR_DAMPING
+    return Token(
+        id=row.id,
+        form=row.split_token,
+        orig_token_index=row.orig_token_index,
+        lemma=row.lemma or None,
+        upos=row.upos or None,
+        head=row.head,
+        deprel=row.deprel or None,
+        confidences={"final": round(confidence, 3)},
+        penalty=min(1.0, REPAIR_PENALTY_STEP * row.repairs),
+        notes="; ".join(row.notes),
+    )
 
 
 def induced_sentence(parse: FinalParse) -> Sentence:
     """The core-model sentence a final parse denotes, for validation and IO."""
-    tokens = []
-    for row in parse.rows:
-        if row.head_id == "0":
-            head: object = ROOT
-        elif row.head_id:
-            head = NodeId.parse(row.head_id)
-        else:
-            head = None
-        confidences = ({"final": row.final_confidence}
-                       if row.final_confidence is not None else {})
-        tokens.append(Token(
-            id=row.id,
-            form=row.split_token,
-            orig_token_index=row.orig_token_index,
-            lemma=row.lemma or None,
-            upos=row.upos or None,
-            head=head,
-            deprel=row.deprel or None,
-            confidences=confidences,
-            penalty=row.penalty,
-            notes=row.adjudication_note,
-        ))
-    return Sentence(sentence_id=parse.sentence_id, tokens=tuple(tokens))
+    return Sentence(parse.sentence_id, parse.tokens)

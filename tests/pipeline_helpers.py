@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from spokenud.core import NodeId, Sentence, Token
+from spokenud.ioformats import sheet_rows_for_sentence
+from spokenud.pipeline import induced_sentence
 from spokenud.pipeline.envelopes import (
     CoreOutput,
     CoreToken,
@@ -11,6 +13,11 @@ from spokenud.pipeline.envelopes import (
     SphOutput,
     build_id_map,
 )
+
+
+def sheet_rows(parse):
+    """The sheet rows a final parse writes."""
+    return sheet_rows_for_sentence(induced_sentence(parse))
 
 
 def input_sentence(sid, forms, langs=None):

@@ -35,7 +35,7 @@ from spokenud.pipeline import (
 )
 
 from gen import random_sentence
-from pipeline_helpers import adversarial_envelopes
+from pipeline_helpers import adversarial_envelopes, sheet_rows
 from test_flexud import _perturb, simple, ten_token_pair
 
 DATA = Path(__file__).parent / "data"
@@ -273,12 +273,12 @@ def test_criterion_10_end_to_end_replay_of_the_walkthrough_sentence(
     parse = parse_sentence(manifest_entry_to_input_sentence(entry),
                            backend, config)
     assert not isinstance(parse, SentenceFailure)
-    reparanda = [row.split_token for row in parse.rows
+    reparanda = [row.split_token for row in sheet_rows(parse)
                  if row.deprel == "reparandum"]
     assert reparanda == ["I", "will", "not"]  # the repeated segment
-    fillers = [row for row in parse.rows if row.split_token == "uh"]
+    fillers = [row for row in sheet_rows(parse) if row.split_token == "uh"]
     assert fillers[0].deprel == "discourse" and fillers[0].upos == "INTJ"
-    roots = [row for row in parse.rows if row.head_id == "0"]
+    roots = [row for row in sheet_rows(parse) if row.head_id == "0"]
     assert len(roots) == 1 and roots[0].split_token == "buy"
     assert validate_tree(induced_sentence(parse)).ok
     report(10, "walkthrough sentence replays to reparandum on the repeated "

@@ -22,7 +22,7 @@ from spokenud.pipeline import (
 from spokenud.pipeline.envelopes import build_id_map
 from spokenud.pipeline.prompts import STAGES
 
-from pipeline_helpers import core_from, input_sentence, sph_lsr
+from pipeline_helpers import core_from, input_sentence, sheet_rows, sph_lsr
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,8 @@ def test_clean_run_produces_final_parse(config):
     parse = parse_sentence(sentence, backend, config)
     assert not isinstance(parse, SentenceFailure)
     assert parse.sentence_id == "t1"
-    assert [row.split_token for row in parse.rows] == ["yo", "creo", "si"]
-    assert all(row.penalty == 0.0 for row in parse.rows)
+    assert [row.split_token for row in sheet_rows(parse)] == ["yo", "creo", "si"]
+    assert all(row.penalty == 0.0 for row in sheet_rows(parse))
 
 
 def test_retry_recovers_after_two_garbage_responses(config):

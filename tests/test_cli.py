@@ -271,6 +271,18 @@ def test_parse_then_eval_replay_outputs_are_deterministic(
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_parse_replay_outputs_equal_the_recorded_golden_bytes(
+        tmp_path, replay_dir, manifest_path, workers):
+    golden = Path(__file__).parent.parent / "perfbench" / "data" / "golden"
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", manifest_path, "--out", out,
+                "--backend-mode", "replay", "--replay-dir", replay_dir,
+                "--workers", workers]) == 0
+    for name in ("parses.conllu", "parses.sheet.tsv", "adjudication.log"):
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["bogus-command"])
@@ -445,8 +457,21 @@ def _set_first_lang_tag(obj, tag):
      "lang_tag must be one of eng, spa, mixed, unknown, found 'en'"),
     (3, lambda obj: _set_first_lang_tag(obj, 5),
      "lang_tag must be one of eng, spa, mixed, unknown, found 5"),
+    (3, lambda obj: dict(obj, category=5), "unknown category label: 5"),
+    (1, lambda obj: {"category_counts": {"bogus": 1}},
+     "unknown category label: 'bogus'"),
+    (1, lambda obj: {"category_counts": {"contraction-es": "x"}},
+     "category count of contraction-es must be a non-negative integer, found 'x'"),
+    (3, lambda obj: dict(obj, sentence_id="del1"), "duplicate sentence id: del1"),
+    (3, lambda obj: dict(obj, gold_conllu="1\tyo\n"),
+     "gold_conllu: line 1: expected 10 columns, got 2: '1\\tyo'"),
+    (1, lambda obj: {"category_counts": {"contraction-es": 2}},
+     "declared {contraction-es: 2} but found {contraction-es: 1, "
+     "simple-discourse: 1, highly-complex: 1}"),
 ], ids=["category-counts-not-an-object", "gold-conllu-not-a-string",
-        "unknown-lang-tag", "lang-tag-not-a-string"])
+        "unknown-lang-tag", "lang-tag-not-a-string", "unknown-category",
+        "unknown-category-counts-key", "count-not-an-integer",
+        "repeated-sentence-id", "gold-conllu-refused", "count-mismatch"])
 def test_parse_manifest_value_of_wrong_shape_exits_one_and_names_it(
         tmp_path, manifest_path, capsys, monkeypatch, line_no, edit, message):
     lines = Path(manifest_path).read_text("utf-8").splitlines()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spokenud.core import (
     ROOT,
     Category,
-    CycleFound,
     IssueCode,
     NodeId,
     RootSentinel,
@@ -19,7 +18,6 @@ from spokenud.core import (
     annotatable_tokens,
     is_content_relation,
     mwe_component_ids,
-    topological_order,
     validate_tree,
 )
 
@@ -192,34 +190,6 @@ def test_mwe_component_ids_cover_span():
     assert mwe_component_ids(mwe_sentence(False)) == {NodeId(6), NodeId(7)}
     assert [t.id for t in annotatable_tokens(mwe_sentence(False))] == \
         [NodeId(5), NodeId(6, 1)]
-
-
-# --- topological order ----------------------------------------------------
-
-def test_topological_order_chain():
-    assert topological_order(chain([0, 1, 2])) == [NodeId(1), NodeId(2), NodeId(3)]
-
-
-def test_topological_order_cycle_raises():
-    with pytest.raises(CycleFound) as err:
-        topological_order(chain([2, 1]))
-    assert set(err.value.members) == {NodeId(1), NodeId(2)}
-
-
-@given(st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=8))
-def test_topological_order_head_precedes_dependent(raw_heads):
-    heads = []
-    for i, h in enumerate(raw_heads, start=1):
-        heads.append(0 if h == 0 or h > len(raw_heads) or h == i else h)
-    sentence = chain(heads)
-    try:
-        order = topological_order(sentence)
-    except CycleFound:
-        return
-    position = {n: i for i, n in enumerate(order)}
-    for token in sentence.tokens:
-        if isinstance(token.head, NodeId):
-            assert position[token.head] < position[token.id]
 
 
 def test_token_rejects_self_head():

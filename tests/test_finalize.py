@@ -11,7 +11,7 @@ from spokenud.pipeline import (
 )
 from spokenud.pipeline.envelopes import CoreToken
 
-from pipeline_helpers import core_from, sph_lsr
+from pipeline_helpers import core_from, sheet_rows, sph_lsr
 
 
 def test_conformant_envelopes_no_repairs():
@@ -23,11 +23,11 @@ def test_conformant_envelopes_no_repairs():
         ("4", "INTJ", "2", "ccomp"),
     ], forms=["yo", "creo", "que", "si"])
     parse = finalize(sph, lsr, core)
-    assert all(row.penalty == 0.0 for row in parse.rows)
+    assert all(row.penalty == 0.0 for row in sheet_rows(parse))
     assert not [l for l in parse.adjudication_log if l.startswith("repair[")]
     assert validate_tree(induced_sentence(parse)).ok
-    assert [row.sheet_id for row in parse.rows] == [1, 2, 3, 4]
-    assert parse.rows[1].head_id == "0" and parse.rows[1].deprel == "root"
+    assert [row.sheet_id for row in sheet_rows(parse)] == [1, 2, 3, 4]
+    assert sheet_rows(parse)[1].head_id == "0" and sheet_rows(parse)[1].deprel == "root"
 
 
 def test_head_form_resolution():
@@ -41,7 +41,7 @@ def test_head_form_resolution():
     broken = replace(core, tokens=core.tokens[:3] + (
         replace(core.tokens[3], head_form="buy"),))
     parse = finalize(sph, lsr, broken)
-    row = parse.rows[3]
+    row = sheet_rows(parse)[3]
     assert row.head_id == "3" and row.sheet_head_id == 3
     assert row.penalty == 0.25
     assert any("HEAD_FORM" in line for line in parse.adjudication_log)
@@ -56,10 +56,10 @@ def test_invalid_head_falls_back_to_anchor_then_root():
         ("3", "ADV", "7", "advmod"),       # dangling, no anchor -> root
     ], forms=["uh", "go", "now"])
     parse = finalize(sph, lsr, core)
-    assert parse.rows[0].head_id == "2"
-    assert parse.rows[2].head_id == "2"  # attached to root
-    assert parse.rows[2].deprel == "advmod"  # deprel preserved on root attach
-    assert parse.rows[2].penalty == 0.25
+    assert sheet_rows(parse)[0].head_id == "2"
+    assert sheet_rows(parse)[2].head_id == "2"  # attached to root
+    assert sheet_rows(parse)[2].deprel == "advmod"  # deprel preserved on root attach
+    assert sheet_rows(parse)[2].penalty == 0.25
 
 
 def test_multiple_roots_verb_wins():
@@ -70,10 +70,10 @@ def test_multiple_roots_verb_wins():
         ("3", "ADV", "2", "advmod"),
     ], forms=["dog", "runs", "fast"])
     parse = finalize(sph, lsr, core)
-    assert parse.rows[1].head_id == "0"
-    assert parse.rows[0].head_id == "2"
-    assert parse.rows[0].deprel == "dep"  # was "root"
-    assert parse.rows[0].penalty == 0.25
+    assert sheet_rows(parse)[1].head_id == "0"
+    assert sheet_rows(parse)[0].head_id == "2"
+    assert sheet_rows(parse)[0].deprel == "dep"  # was "root"
+    assert sheet_rows(parse)[0].penalty == 0.25
     assert any(line.startswith("repair[root]") for line in parse.adjudication_log)
 
 
@@ -84,8 +84,8 @@ def test_two_verb_roots_equal_confidence_lower_id_wins():
         ("2", "VERB", "0", "root"),
     ], forms=["come", "go"], confidences={1: 0.7, 2: 0.7})
     parse = finalize(sph, lsr, core)
-    assert parse.rows[0].head_id == "0"
-    assert parse.rows[1].head_id == "1"
+    assert sheet_rows(parse)[0].head_id == "0"
+    assert sheet_rows(parse)[1].head_id == "1"
 
 
 def test_zero_roots_promotes_by_priority():
@@ -98,7 +98,7 @@ def test_zero_roots_promotes_by_priority():
     parse = finalize(sph, lsr, core)
     sentence = induced_sentence(parse)
     assert validate_tree(sentence).ok
-    promoted = [row for row in parse.rows if row.head_id == "0"]
+    promoted = [row for row in sheet_rows(parse) if row.head_id == "0"]
     assert len(promoted) == 1 and promoted[0].upos == "VERB"
 
 
@@ -110,9 +110,9 @@ def test_cycle_repair_lowest_confidence_reattached():
         ("3", "NOUN", "2", "nmod"),
     ], forms=["a", "b", "c"], confidences={2: 0.9, 3: 0.4})
     parse = finalize(sph, lsr, core)
-    assert parse.rows[2].head_id == "1"  # node 3 had lower confidence
-    assert parse.rows[2].deprel == "dep"
-    assert parse.rows[1].head_id == "3"
+    assert sheet_rows(parse)[2].head_id == "1"  # node 3 had lower confidence
+    assert sheet_rows(parse)[2].deprel == "dep"
+    assert sheet_rows(parse)[1].head_id == "3"
     assert any(line.startswith("repair[cycle]") for line in parse.adjudication_log)
 
 
@@ -124,7 +124,7 @@ def test_cycle_tie_break_lower_id():
         ("3", "NOUN", "2", "nmod"),
     ], forms=["a", "b", "c"], confidences={2: 0.5, 3: 0.5})
     parse = finalize(sph, lsr, core)
-    assert parse.rows[1].head_id == "1"  # lower id 2 reattached
+    assert sheet_rows(parse)[1].head_id == "1"  # lower id 2 reattached
 
 
 def test_penalty_accumulates_and_confidence_damped():
@@ -138,7 +138,7 @@ def test_penalty_accumulates_and_confidence_damped():
     bad = replace(core, tokens=(core.tokens[0],
                                 replace(core.tokens[1], head_id="44")))
     parse = finalize(sph, lsr, bad)
-    row = parse.rows[1]
+    row = sheet_rows(parse)[1]
     # invalid head -> pending-root (repair 1); no further repairs expected
     assert row.penalty == 0.25
     combined = 0.5 * 1.0 + 0.3 * 0.5 + 0.2 * 0.5
@@ -158,7 +158,7 @@ def test_token_repaired_twice_penalty_half():
                                 replace(core.tokens[2], head_id="2")))
     # 2 -> 3 -> 2 cycle; 2 has the lowest confidence so it is reattached.
     parse = finalize(sph, lsr, bad)
-    row = parse.rows[1]
+    row = sheet_rows(parse)[1]
     assert row.penalty in (0.25, 0.5)
     if row.penalty == 0.5:
         assert row.final_confidence == round(
@@ -188,7 +188,7 @@ def test_component_annotations_stripped():
     parse = finalize(sph, lsr, core)
     sentence = induced_sentence(parse)
     assert validate_tree(sentence).ok
-    component_rows = [row for row in parse.rows if str(row.id) in ("1", "2")]
+    component_rows = [row for row in sheet_rows(parse) if str(row.id) in ("1", "2")]
     assert all(row.upos == "" and row.head_id == "" for row in component_rows)
     assert all(row.form == "" for row in component_rows)
     assert any("mwe-component" in line for line in parse.adjudication_log)
@@ -209,7 +209,7 @@ def test_head_pointing_into_mwe_span_redirected():
         ("4", "VERB", "0", "root"),
     ], forms=["the", "", "", "swimming_pool", "closed"])
     parse = finalize(sph, lsr, core)
-    the_row = next(row for row in parse.rows if row.split_token == "the")
+    the_row = next(row for row in sheet_rows(parse) if row.split_token == "the")
     assert the_row.head_id == "2.1"
     assert validate_tree(induced_sentence(parse)).ok
 
@@ -227,9 +227,9 @@ def test_filler_override_to_intj_discourse():
         ("2", "VERB", "0", "root"),
     ], forms=["uh", "go"])
     parse = finalize(sph, lsr, core)
-    assert parse.rows[0].upos == "INTJ"
-    assert parse.rows[0].deprel == "discourse"
-    assert parse.rows[0].head_id == "2"
+    assert sheet_rows(parse)[0].upos == "INTJ"
+    assert sheet_rows(parse)[0].deprel == "discourse"
+    assert sheet_rows(parse)[0].head_id == "2"
     assert _overrides(parse) == [
         "override[filler]: DEPREL of 1 'obj' -> 'discourse'",
         "override[filler]: UPOS of 1 'NOUN' -> 'INTJ'",
@@ -245,7 +245,7 @@ def test_reparandum_anchor_forces_head():
         ("3", "VERB", "0", "root"),
     ], forms=["I", "I", "go"])
     parse = finalize(sph, lsr, core)
-    assert parse.rows[0].head_id == "2"
+    assert sheet_rows(parse)[0].head_id == "2"
     assert _overrides(parse) == [
         "override[reparandum]: HEAD of 1 forced to spoken anchor 2"]
 
@@ -257,7 +257,7 @@ def test_conformant_labels_unchanged():
         ("2", "VERB", "0", "root"),
     ], forms=["uh", "go"])
     parse = finalize(sph, lsr, core)
-    assert [(r.upos, r.head_id, r.deprel) for r in parse.rows] == [
+    assert [(r.upos, r.head_id, r.deprel) for r in sheet_rows(parse)] == [
         ("INTJ", "2", "discourse"), ("VERB", "0", "root")]
     assert parse.adjudication_log == ()
 
@@ -269,5 +269,5 @@ def test_rep_alias_normalized():
         ("2", "VERB", "0", "root"),
     ], forms=["a", "b"])
     parse = finalize(sph, lsr, core)
-    assert parse.rows[0].deprel == "reparandum"
+    assert sheet_rows(parse)[0].deprel == "reparandum"
     assert _overrides(parse) == []

@@ -13,7 +13,7 @@ from pathlib import Path
 from spokenud.ioformats import format_sheet_row
 from spokenud.pipeline import finalize
 
-from pipeline_helpers import adversarial_envelopes
+from pipeline_helpers import adversarial_envelopes, sheet_rows
 
 GOLDEN = Path(__file__).parent / "data" / "golden" / "finalize_fuzz500.sha256"
 
@@ -23,7 +23,7 @@ def serialize_fuzz_corpus(cases: int = 500, seed: int = 8) -> str:
     lines = []
     for i in range(cases):
         parse = finalize(*adversarial_envelopes(rng, f"fz{i}"))
-        lines.extend(format_sheet_row(row) for row in parse.rows)
+        lines.extend(format_sheet_row(row) for row in sheet_rows(parse))
         lines.extend(f"log\t{line}" for line in parse.adjudication_log)
         lines.append(f"summary\t{parse.final_summary}")
     return "\n".join(lines) + "\n"

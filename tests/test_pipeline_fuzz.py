@@ -4,7 +4,7 @@ import re
 from spokenud.core import validate_tree
 from spokenud.pipeline import finalize, induced_sentence
 
-from pipeline_helpers import adversarial_envelopes, core_from, sph_lsr
+from pipeline_helpers import adversarial_envelopes, core_from, sheet_rows, sph_lsr
 
 
 def test_fuzz_smoke_500_cases():
@@ -19,7 +19,7 @@ def test_fuzz_smoke_500_cases():
         total_repairs = int(re.search(r"(\d+) structural repairs",
                                       parse.final_summary).group(1))
         assert len(repair_lines) == total_repairs
-        for row in parse.rows:
+        for row in sheet_rows(parse):
             if row.penalty > 0:
                 assert row.adjudication_note, f"case {i}: repaired row lacks note"
 
@@ -39,7 +39,7 @@ def test_authority_core_values_survive_merge_unless_overridden():
             if match:
                 overridden.add(match.group(1))
         from spokenud.core import canonical_deprel
-        for row in parse.rows:
+        for row in sheet_rows(parse):
             token = core_by_id.get(row.id)
             if token is None or row.form == "":
                 continue
