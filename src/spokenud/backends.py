@@ -8,6 +8,7 @@ environment variable only; config files never hold secrets.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import threading
@@ -69,16 +70,18 @@ class BackendConfig:
 
 def request_fingerprint(system_prompt: str, user_prompt: str, model: str) -> str:
     """Stable content hash of a request; line endings are normalized."""
+    digest = _prefix_digest(model, system_prompt).copy()
+    digest.update(user_prompt.replace("\r\n", "\n").encode("utf-8"))
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=32)
+def _prefix_digest(model: str, system_prompt: str):
+    """The hash state after the model and system prompt, hashed once per pair."""
     import hashlib
 
-    payload = "\n".join((
-        model,
-        "##SYSTEM##",
-        system_prompt.replace("\r\n", "\n"),
-        "##USER##",
-        user_prompt.replace("\r\n", "\n"),
-    ))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join((model, "##SYSTEM##", system_prompt.replace(
+        "\r\n", "\n"), "##USER##", "")).encode("utf-8"))
 
 
 class ReplayStore:
@@ -113,9 +116,11 @@ class ReplayStore:
         return path
 
     def load(self, key: str, fingerprint: str) -> str:
+        """The recorded response; the record must be UTF-8 without a BOM."""
         path = self.path_for(key)
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            with open(path, "rb", buffering=0) as handle:
+                record = json.loads(handle.read().decode("utf-8"))
         except FileNotFoundError:
             raise ReplayMiss(key, fingerprint) from None
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
@@ -245,7 +250,8 @@ class ReplayBackend:
 
 def make_backend(config: BackendConfig):
     if config.mode == "stub":
-        return StubBackend()
+        raise BackendError("backend mode stub has no responses to give: use "
+                           "replay --replay-dir DIR, record or live")
     if config.mode == "live":
         return LiveBackend(config)
     if config.mode == "record":

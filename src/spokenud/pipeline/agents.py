@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import json
-import math
 import re
 import sys
 import threading
@@ -75,13 +73,27 @@ def _validator(stage: str):
 
 
 def _compile(stage: str, root: dict):
-    """``root`` compiled in one walk into a predicate, one closure per node over
-    the keywords it has, with jsonschema's draft 2020-12 verdict for those in
-    _KEYWORDS; the last five check nothing, and any other keyword fails loudly.
-    Enum members are scalars; True never equals 1, as in jsonschema."""
-    defs: dict = {}
+    """``root`` compiled in one walk into generated Python, one function of
+    ``obj`` per node over the keywords it has, with jsonschema's draft 2020-12
+    verdict for those in _KEYWORDS; the last five check nothing, and any other
+    keyword fails loudly. Constants reach the code by name; only the ``repr``
+    of property names is spliced into it. Enum members are scalars; True
+    never equals 1, as in jsonschema."""
+    source: list[str] = []
+    consts: dict = {"MISSING": object()}
+    # $defs name -> its function; $ref target -> the name bound to that function;
+    # function -> its one expression, which an object's function inlines.
+    defs, refs, leaves = {}, {}, {}
 
-    def node(schema):
+    def check_of_value(name: str) -> str:  # function ``name``'s check of ``value``
+        return re.sub(r"\bobj\b", "value", leaves.get(name, f"{name}(obj)"))
+
+    def const(value) -> str:
+        consts[name := f"c{len(consts)}"] = value
+        return name
+
+    def node(schema) -> str:
+        """Emit ``schema``'s function; return its name."""
         if not isinstance(schema, dict):
             raise SpokenUdError(f"{stage} schema: unsupported subschema {schema!r}")
         for key, value in schema.items():
@@ -90,61 +102,74 @@ def _compile(stage: str, root: dict):
                     or key == "enum" and any(isinstance(v, (list, dict)) for v in value):
                 raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}")
         get, checks = schema.get, []
-        # A $ref looks its target up at call time; only the root's $defs count.
+        # Only the root's $defs count.
         (defs if schema is root else {}).update(
             (name, node(sub)) for name, sub in get("$defs", {}).items())
 
         def on(kind, check):  # a check of one JSON type's values; other values pass
             type_checked = get("type") in ((kind, "integer") if kind == "number" else (kind,))
-            checks.append(check if type_checked else lambda obj, cls=_TYPES[kind]:
-                          not isinstance(obj, cls) or check(obj))
+            checks.append(check if type_checked else
+                          f"(not isinstance(obj, {const(_TYPES[kind])}) or {check})")
         if "$ref" in schema:
-            checks.append(lambda obj, name=get("$ref")[len("#/$defs/"):]: defs[name](obj))
+            checks.append(refs.setdefault(get("$ref")[len("#/$defs/"):], f"r{len(refs)}")
+                          + "(obj)")
         if "type" in schema:
             names = {get("type")} if isinstance(get("type"), str) else set(get("type"))
-            classes = tuple(_TYPES[name] for name in names)
-            any_bool = "boolean" in names or not names & {"number", "integer"}
-            integral = "integer" in names and "number" not in names
-            checks.append(lambda obj: isinstance(obj, classes) and (
-                any_bool or not isinstance(obj, bool))
-                or integral and isinstance(obj, float) and obj.is_integer())
+            check = f"isinstance(obj, {const(tuple(_TYPES[name] for name in names))})"
+            if names & {"number", "integer"} and "boolean" not in names:
+                check += " and not isinstance(obj, bool)"
+            if "integer" in names and "number" not in names:
+                check += " or isinstance(obj, float) and obj.is_integer()"
+            checks.append(f"({check})")
         if "enum" in schema:
             members = frozenset((isinstance(e, bool), e) for e in schema["enum"])
-            checks.append(lambda obj: not isinstance(obj, (list, dict))
-                          and (isinstance(obj, bool), obj) in members)
+            checks.append("(not isinstance(obj, (list, dict)) and "
+                          f"(isinstance(obj, bool), obj) in {const(members)})")
         if "pattern" in schema:
-            on("string", lambda s, search=re.compile(get("pattern")).search:
-               search(s) is not None)
+            on("string", f"{const(re.compile(get('pattern')).search)}(obj) is not None")
         if "minimum" in schema or "maximum" in schema:
-            low, high = get("minimum", -math.inf), get("maximum", math.inf)
-            on("number", lambda x: isinstance(x, bool) or not (x < low or x > high))
+            outside = " or ".join(f"obj {op} {const(get(key))}" for key, op in
+                                  (("minimum", "<"), ("maximum", ">")) if key in schema)
+            on("number", f"(isinstance(obj, bool) or not ({outside}))")
         for keyword, kind in (("minLength", "string"), ("minItems", "array")):
             if keyword in schema:
-                on(kind, lambda x, n=schema[keyword]: len(x) >= n)
+                on(kind, f"len(obj) >= {const(schema[keyword])}")
         if "items" in schema:
-            on("array", lambda a, item=node(get("items")): all(map(item, a)))
+            on("array", f"all(map({node(get('items'))}, obj))")
         closed = get("additionalProperties") is False
-        if closed or {"properties", "patternProperties", "required"} & schema.keys():
-            properties = {key: node(sub) for key, sub in get("properties", {}).items()}
-            patterns = [(re.compile(pattern).search, node(sub))
+        if not (closed or {"properties", "patternProperties", "required"} & schema.keys()):
+            leaves[f"n{len(source)}"] = f"({' and '.join(checks) or 'True'})"
+            body = ["return " + leaves[f"n{len(source)}"]]
+        else:
+            body = [f"if not ({' and '.join(checks)}): return False"] if checks else []
+            if get("type") != "object":
+                body.append("if not isinstance(obj, dict): return True")
+            for key, sub in get("properties", {}).items():
+                body += [f"value = obj.get({key!r}, MISSING)", "if value is not MISSING "
+                         f"and not {check_of_value(node(sub))}: return False"]
+            patterns = [(const(re.compile(pattern).search), node(sub))
                         for pattern, sub in get("patternProperties", {}).items()]
+            if patterns or closed:
+                body.append("for key, value in obj.items():")
+                body += [f"    if {search}(key) and not {check_of_value(sub)}: return False"
+                         for search, sub in patterns]
+                if closed:
+                    known = const(frozenset(get("properties", ())))
+                    matched = " or ".join(f"{search}(key)" for search, _ in patterns)
+                    body.append(f"    if key not in {known} and not ({matched or 'False'}):"
+                                " return False")
+            body.append(f"return {const(frozenset(get('required', ())))} <= obj.keys()")
+        source.append(f"def n{len(source)}(obj):\n    " + "\n    ".join(body))
+        return f"n{len(source) - 1}"
 
-            def check_object(obj, required=frozenset(get("required", ()))):
-                for key, value in obj.items():
-                    prop = properties.get(key)
-                    if prop is not None and not prop(value):
-                        return False
-                    for search, sub in patterns:
-                        if search(key) and not sub(value):
-                            return False
-                    if closed and prop is None and not any(s(key) for s, _ in patterns):
-                        return False
-                return required <= obj.keys()
-            on("object", check_object)
-        return functools.reduce(lambda first, then: lambda obj: first(obj) and then(obj),
-                                checks or [lambda obj: True])
-
-    return node(root)
+    top = node(root)
+    for target, ref in refs.items():
+        if target not in defs:
+            raise SpokenUdError(f"{stage} schema: no $defs entry for $ref {target!r}")
+        source.append(f"{ref} = {defs[target]}")
+    for text in source:  # one at a time, which keeps the compiler's peak memory low
+        exec(compile(text, f"<{stage} schema>", "exec"), consts)
+    return consts[top]
 
 
 def _schema_violations(stage: str, obj: dict) -> list[str]:
@@ -164,12 +189,17 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _single_json_object(raw: str) -> tuple[dict | None, list[str]]:
     """The response decoded by ``json.loads``, refusing the NaN, Infinity and
     -Infinity that RFC 8259 does not allow: NaN would pass every schema bound.
-    Nesting past the recursion limit is invalid JSON too, not a crash."""
+    Nesting past the recursion limit is invalid JSON too, not a crash. Any str
+    but one with a BOM, which json.loads refuses, goes to the shared decoder."""
     try:
-        obj = json.loads(raw, parse_constant=_refuse_constant)
+        obj = _DECODER.decode(raw) if type(raw) is str and raw[:1] != "\ufeff" \
+            else json.loads(raw, parse_constant=_refuse_constant)
     except (ValueError, RecursionError) as err:  # also a refused constant, a huge int
         return None, [f"response is not valid JSON: {err}"]
     if not isinstance(obj, dict):

@@ -12,7 +12,9 @@ repair instructions sent back on retry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from json.encoder import encode_basestring as _quote
 from typing import Iterable
 
 from ..core import (
@@ -33,21 +35,42 @@ class IrreconcilableEnvelopes(SpokenUdError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PipelineToken:
-    """One node as it moves through the pipeline stages."""
+    """One node as it moves through the pipeline stages. Slotted like
+    core.Token: ``__init__`` holds the defaults and stores through the slot
+    descriptors."""
 
     proposed_id: NodeId
     orig_token_index: int
     split_token: str
-    lang_tag: str = "unknown"
-    spoken_label: str | None = None
-    spoken_anchor: NodeId | None = None
-    lemma: str | None = None
-    mwe: bool = False
-    sph_confidence: float | None = None
-    lsr_confidence: float | None = None
-    lsr_notes: str = ""
+    lang_tag: str
+    spoken_label: str | None
+    spoken_anchor: NodeId | None
+    lemma: str | None
+    mwe: bool
+    sph_confidence: float | None
+    lsr_confidence: float | None
+    lsr_notes: str
+
+    def __init__(self, proposed_id, orig_token_index, split_token, lang_tag="unknown",
+                 spoken_label=None, spoken_anchor=None, lemma=None, mwe=False,
+                 sph_confidence=None, lsr_confidence=None, lsr_notes=""):
+        _p_id(self, proposed_id)
+        _p_index(self, orig_token_index)
+        _p_split(self, split_token)
+        _p_lang(self, lang_tag)
+        _p_label(self, spoken_label)
+        _p_anchor(self, spoken_anchor)
+        _p_lemma(self, lemma)
+        _p_mwe(self, mwe)
+        _p_sph(self, sph_confidence)
+        _p_lsr(self, lsr_confidence)
+        _p_notes(self, lsr_notes)
+
+
+(_p_id, _p_index, _p_split, _p_lang, _p_label, _p_anchor, _p_lemma, _p_mwe, _p_sph,
+ _p_lsr, _p_notes) = (PipelineToken.__dict__[f.name].__set__ for f in fields(PipelineToken))
 
 
 @dataclass(frozen=True)
@@ -68,8 +91,10 @@ class LsrOutput(SphOutput):
     """Same shape as the first stage plus lemmas, notes and MWE flags."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CoreToken:
+    """One annotated row of the Core stage; slotted like PipelineToken."""
+
     proposed_id: NodeId
     form: str
     lemma: str
@@ -77,8 +102,24 @@ class CoreToken:
     head_id: str  # proposed id text, "0" for root, "" when unannotated
     head_form: str
     deprel: str
-    confidence: float | None = None
-    notes: str = ""
+    confidence: float | None
+    notes: str
+
+    def __init__(self, proposed_id, form, lemma, upos, head_id, head_form, deprel,
+                 confidence=None, notes=""):
+        _c_id(self, proposed_id)
+        _c_form(self, form)
+        _c_lemma(self, lemma)
+        _c_upos(self, upos)
+        _c_head(self, head_id)
+        _c_head_form(self, head_form)
+        _c_deprel(self, deprel)
+        _c_confidence(self, confidence)
+        _c_notes(self, notes)
+
+
+(_c_id, _c_form, _c_lemma, _c_upos, _c_head, _c_head_form, _c_deprel, _c_confidence,
+ _c_notes) = (CoreToken.__dict__[f.name].__set__ for f in fields(CoreToken))
 
 
 @dataclass(frozen=True)
@@ -442,9 +483,10 @@ def apply_mwe_whitelist(envelope: LsrOutput,
 
     log: list[str] = []
     tokens = envelope.tokens
+    forms = {t.split_token.lower() for t in tokens if not t.proposed_id.is_dotted}
     for expression in whitelist:
         parts = expression.lower().split()
-        if len(parts) < 2:
+        if len(parts) < 2 or not forms.issuperset(parts):
             continue
         while True:
             integers = [t for t in tokens if not t.proposed_id.is_dotted]
@@ -480,5 +522,46 @@ def _find_span(integers, parts, covered):
 
 
 def envelope_to_json_text(payload: dict) -> str:
-    """Canonical serialization used for prompts and fingerprints."""
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    """Canonical serialization used for prompts and fingerprints: the text of
+    ``json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)``,
+    built from one cached ``%`` template per key tuple and indent."""
+    return _json_text(payload, "\n")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The text of each exact scalar type, all but a float's through one C call.
+_WRITERS = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+            float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
+            bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as json.dumps writes it after ``newline`` and its indent: an
+    exact scalar type or a list, tuple or str-keyed dict here, in json's
+    isinstance order, and anything else by json.dumps itself."""
+    writer = _WRITERS.get(type(value))
+    if writer is not None:
+        return writer(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        return "[" + inner + ("," + inner).join([
+            w(v) if (w := _WRITERS.get(type(v))) else _json_text(v, inner)
+            for v in value]) + newline + "]" if value else "[]"
+    if isinstance(value, dict) and (template := _object_template(tuple(value), newline)):
+        return template[0] % tuple([
+            w(v) if (w := _WRITERS.get(type(v))) else _json_text(v, inner)
+            for v in map(value.__getitem__, template[1])])
+    return json.dumps(value, ensure_ascii=False, sort_keys=True,
+                      indent=2).replace("\n", newline)
+
+
+@lru_cache(maxsize=256)
+def _object_template(keys: tuple, newline: str) -> tuple[str, tuple] | None:
+    """The template json.dumps's text of a non-empty object with these str
+    keys fills, and the sorted keys whose values fill it; else None."""
+    if not keys or any(type(key) is not str for key in keys):
+        return None
+    keys = tuple(sorted(keys))
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join(
+        _quote(key).replace("%", "%%") + ": %s" for key in keys) + newline + "}", keys

@@ -42,7 +42,7 @@ REPAIR_DAMPING = 0.8
 REPAIR_PENALTY_STEP = 0.25
 
 
-@dataclass
+@dataclass(slots=True)
 class _Row:
     id: NodeId
     orig_token_index: int | None

@@ -264,6 +264,13 @@ def test_decode_matches_json_loads_except_for_non_finite_constants(raw):
             (None, ["response must be a single JSON object"])
 
 
+def test_a_ref_without_a_defs_entry_fails_when_compiled():
+    schema = {"type": "object", "properties": {"a": {"$ref": "#/$defs/gone"}},
+              "$defs": {"here": {"type": "string"}}}
+    with pytest.raises(SpokenUdError, match=r"test schema: no \$defs entry for \$ref 'gone'"):
+        agents._compile("test", schema)
+
+
 def test_an_integer_too_long_to_convert_is_retried_not_raised():
     raw = '{"sentence_id": ' + "1" * 5000 + "}"
     try:

@@ -52,11 +52,18 @@ def test_replay_miss_on_stale_hash(tmp_path):
         store.load("x", "hash2")
 
 
+VALID_RECORD = '{"request_hash": "ab", "raw_response": "x"}'
+
+
 @pytest.mark.parametrize("content", ['{"request_hash": "ab'.encode(),
-                                     '{"raw_response": "é'.encode()[:-1]],
-                         ids=["truncated-json", "truncated-utf8"])
+                                     '{"raw_response": "é'.encode()[:-1],
+                                     VALID_RECORD.encode("utf-16"),
+                                     VALID_RECORD.encode("utf-8-sig")],
+                         ids=["truncated-json", "truncated-utf8", "utf16", "utf8-bom"])
 def test_replay_store_corrupt_record_is_a_backend_error_naming_the_file(
         tmp_path, content):
+    """Records are UTF-8 without a BOM; json.loads of the bytes would accept
+    the last two."""
     store = ReplayStore(tmp_path)
     store.path_for("x.sph").write_bytes(content)
     with pytest.raises(BackendError, match="corrupt replay record") as err:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from spokenud.backends import StubBackend, make_backend
+from spokenud.backends import BackendError, make_backend
 from spokenud.cli import main
 from spokenud.config import ConfigError, load_config
 from spokenud.core import UD_RELATIONS, UPOS_TAGS
@@ -200,10 +200,18 @@ def test_missing_config_file_errors():
         load_config("/nonexistent/config.yaml")
 
 
-def test_stub_backend_from_config():
+def test_stub_backend_from_config(tmp_path, pipeline_manifest_path, capsys):
+    """The shipped mode, stub, has no responses: it is refused with the modes
+    that can parse, and ``parse`` exits 3 before any backend call."""
     config = load_config()
-    backend = make_backend(config.backend)
-    assert isinstance(backend, StubBackend)
+    assert config.backend.mode == "stub"
+    with pytest.raises(BackendError, match="replay --replay-dir DIR, record or live"):
+        make_backend(config.backend)
+    out = tmp_path / "o"
+    assert main(["parse", "--manifest", str(pipeline_manifest_path),
+                 "--out", str(out)]) == 3
+    assert "replay --replay-dir DIR, record or live" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_allowed_relation_sets_configurable(tmp_path):
