@@ -1,9 +1,9 @@
 """Pluggable completion backends: live HTTP, record/replay store, test stub.
 
-Replay files are keyed by a content hash of the prompts (line endings
-normalized first), so editing a prompt template invalidates stale recordings
-loudly instead of silently reusing them. Credentials come from an
-environment variable only; config files never hold secrets.
+Every request carries a key, ``<sentence id>.<stage>`` (``.retryN`` on a
+repair round), that names its replay file. The file holds a content hash of the
+prompts (line endings normalized), so an edited prompt template misses loudly
+instead of reusing a stale record. Credentials come from the environment only.
 """
 
 from __future__ import annotations
@@ -45,9 +45,12 @@ class ReplayMiss(BackendError):
             f"no recorded response for key {key!r} (request hash {fingerprint})")
 
 
+BACKEND_MODES = ("live", "record", "replay", "stub")
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    mode: str = "stub"  # live | record | replay | stub
+    mode: str = "stub"  # one of BACKEND_MODES
     base_url: str = "https://api.openai.com/v1"
     model_name: str = "gpt-4.1"
     temperature: float = 0.0
@@ -58,14 +61,6 @@ class BackendConfig:
     replay_dir: str | None = None
     max_in_flight: int = 4
     auth_env_var: str = "SPOKENUD_API_KEY"
-
-    def __post_init__(self):
-        if self.mode not in ("live", "record", "replay", "stub"):
-            raise BackendError(f"unknown backend mode {self.mode!r}")
-        if self.mode in ("record", "replay") and not self.replay_dir:
-            raise BackendError(f"{self.mode} mode requires a replay directory")
-        if self.mode in ("live", "record") and not self.base_url:
-            raise BackendError(f"{self.mode} mode requires a base URL")
 
 
 def request_fingerprint(system_prompt: str, user_prompt: str, model: str) -> str:
@@ -123,7 +118,7 @@ class ReplayStore:
                 record = json.loads(handle.read().decode("utf-8"))
         except FileNotFoundError:
             raise ReplayMiss(key, fingerprint) from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (ValueError, RecursionError) as err:  # also bad UTF-8, a huge int
             raise BackendError(f"corrupt replay record {path}: {err}") from err
         if not isinstance(record, dict) or not isinstance(record.get("raw_response"), str):
             raise BackendError(f"corrupt replay record {path}: "
@@ -134,31 +129,13 @@ class ReplayStore:
 
 
 class StubBackend:
-    """Deterministic canned responses from a pattern table.
+    """Answers each request by calling ``script(system, user, key)``."""
 
-    Each entry pairs a substring pattern (matched against the user prompt)
-    with either a single response or a queue of responses consumed one call
-    at a time (the last one repeats). A programmable callable can override
-    the table entirely, which tests use for scripted agents.
-    """
-
-    def __init__(self, table=(), script=None):
+    def __init__(self, script):
         self._script = script
-        self._table: list[tuple[str, list[str]]] = []
-        for pattern, response in table:
-            queue = list(response) if isinstance(response, (list, tuple)) else [response]
-            self._table.append((pattern, queue))
-        self._lock = threading.Lock()
 
-    def complete(self, system_prompt: str, user_prompt: str,
-                 key: str | None = None) -> str:
-        if self._script is not None:
-            return self._script(system_prompt, user_prompt, key)
-        with self._lock:
-            for pattern, queue in self._table:
-                if pattern in user_prompt or pattern in (key or ""):
-                    return queue.pop(0) if len(queue) > 1 else queue[0]
-        raise BackendError(f"no stub response matches request (key={key!r})")
+    def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
+        return self._script(system_prompt, user_prompt, key)
 
 
 class LiveBackend:
@@ -177,8 +154,7 @@ class LiveBackend:
                 f"set {self.config.auth_env_var} to use the live backend")
         return token
 
-    def complete(self, system_prompt: str, user_prompt: str,
-                 key: str | None = None) -> str:
+    def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
         import requests
 
         payload = {
@@ -229,11 +205,10 @@ class RecordBackend:
         self._store = ReplayStore(config.replay_dir)
         self._model = config.model_name
 
-    def complete(self, system_prompt: str, user_prompt: str,
-                 key: str | None = None) -> str:
+    def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
         fingerprint = request_fingerprint(system_prompt, user_prompt, self._model)
         raw = self._live.complete(system_prompt, user_prompt, key)
-        self._store.save(key or fingerprint[:16], fingerprint, raw)
+        self._store.save(key, fingerprint, raw)
         return raw
 
 
@@ -242,19 +217,20 @@ class ReplayBackend:
         self._store = ReplayStore(config.replay_dir)
         self._model = config.model_name
 
-    def complete(self, system_prompt: str, user_prompt: str,
-                 key: str | None = None) -> str:
+    def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
         fingerprint = request_fingerprint(system_prompt, user_prompt, self._model)
-        return self._store.load(key or fingerprint[:16], fingerprint)
+        return self._store.load(key, fingerprint)
 
 
 def make_backend(config: BackendConfig):
-    if config.mode == "stub":
-        raise BackendError("backend mode stub has no responses to give: use "
-                           "replay --replay-dir DIR, record or live")
-    if config.mode == "live":
-        return LiveBackend(config)
-    if config.mode == "record":
-        return RecordBackend(config)
-    return ReplayBackend(config)
-
+    """The backend of ``config.mode``, once the settings it needs are given."""
+    backend = {"live": LiveBackend, "record": RecordBackend,
+               "replay": ReplayBackend}.get(config.mode)
+    if backend is None:
+        raise BackendError(f"backend mode {config.mode} has no responses to give: "
+                           "use replay --replay-dir DIR, record or live")
+    if config.mode != "live" and not config.replay_dir:
+        raise BackendError(f"{config.mode} mode requires a replay directory")
+    if config.mode != "replay" and not config.base_url:
+        raise BackendError(f"{config.mode} mode requires a base URL")
+    return backend(config)

@@ -19,7 +19,6 @@ from .flexud import (
     ComponentScores,
     FlexResult,
     FlexScore,
-    SeverityReport,
     align_tokens,
     component_scores,
     detect_severity,
@@ -249,6 +248,21 @@ def sentence_record(sid: str, category: Category | None,
     }
 
 
+def _report_results(record: dict) -> tuple[SentenceResult, FlexResult]:
+    """The inverse of ``sentence_record`` for what the two tables read: the
+    category, the attachment counts, the five components and Final."""
+    sid, counts, flex = record["sentence_id"], record["standard"]["counts"], record["flexud"]
+    scores = [flex[key] for key in ("split", "id", "upos", "head", "deprel", "final")]
+    if not isinstance(sid, str) or any(type(n) is not int
+                                       for n in (*counts.values(), *scores)):
+        raise ValueError("sentence_id must be a string, counts and scores integers")
+    category = (Category.from_label(record["category"])
+                if record.get("category") else None)
+    standard = StandardScores.from_counts(AttachmentCounts(**counts))
+    return (SentenceResult(sid, category, standard),
+            FlexResult(sid, category, ComponentScores(*scores[:5]), scores[5]))
+
+
 def cmd_eval(args, config: ToolkitConfig) -> int:
     pairs = _pair_sentences(args.gold, args.system)
     out = Path(args.out)
@@ -263,7 +277,8 @@ def cmd_eval(args, config: ToolkitConfig) -> int:
                                        standard, flex))
         standard_results.append(SentenceResult(gold.sentence_id, gold.category,
                                                standard))
-        flex_results.append(FlexResult(gold.sentence_id, gold.category, flex))
+        flex_results.append(FlexResult(gold.sentence_id, gold.category,
+                                       flex.components, flex.final))
 
     _write_lines(out / "per_sentence.jsonl", [
         json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records])
@@ -323,22 +338,6 @@ def cmd_report(args) -> int:
     _write_tables(out, args.metric, standard_results, flex_results)
     print(f"rendered tables for {len(flex_results)} sentences into {out}")
     return 0
-
-
-def _report_results(record: dict) -> tuple[SentenceResult, FlexResult]:
-    """The results a per_sentence.jsonl record holds; the tables sum its ints."""
-    sid, counts, flex = record["sentence_id"], record["standard"]["counts"], record["flexud"]
-    scores = [flex[key] for key in ("split", "id", "upos", "head", "deprel", "final")]
-    if not isinstance(sid, str) or any(type(n) is not int
-                                       for n in (*counts.values(), *scores)):
-        raise ValueError("sentence_id must be a string, counts and scores integers")
-    category = (Category.from_label(record["category"])
-                if record.get("category") else None)
-    standard = StandardScores.from_counts(AttachmentCounts(**counts))
-    score = FlexScore(components=ComponentScores(*scores[:5]), weights=None,
-                      raw=flex["raw"], severity=SeverityReport((), flex["P"]),
-                      final=scores[5], diagnostics=tuple(flex.get("diagnostics", ())))
-    return SentenceResult(sid, category, standard), FlexResult(sid, category, score)
 
 
 if __name__ == "__main__":

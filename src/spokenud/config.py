@@ -3,13 +3,14 @@ inline-documented; user files override defaults, CLI flags override both."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from .backends import BackendConfig
+from .backends import BACKEND_MODES, BackendConfig
 from .core import SpokenUdError, UD_RELATIONS, UPOS_TAGS
 from .flexud import PenaltySchedule, ToleranceConfig, Weights
 
@@ -59,7 +60,10 @@ def load_config(path: str | Path | None = None) -> ToolkitConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
-        user = _load_yaml(path.read_text("utf-8")) or {}
+        try:
+            user = _load_yaml(path.read_text("utf-8")) or {}
+        except (ValueError, yaml.YAMLError) as err:  # also bad UTF-8
+            raise ConfigError(f"config file is not UTF-8 YAML: {path}: {err}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"config file must hold a mapping: {path}")
         document = _deep_merge(document, user)
@@ -70,9 +74,19 @@ def _number(doc: dict, key: str, kind=float):
     """The value of dotted ``key``'s last part in ``doc``, as ``kind``."""
     value = doc[key.rpartition(".")[2]]
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+        if math.isfinite(number := kind(value)):  # nan would pass every range check
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+
+
+def _at_least(doc: dict, key: str, least: int) -> int:
+    """The integer at dotted ``key``'s last part in ``doc``, at least ``least``."""
+    value = _number(doc, key, int)
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
+    return value
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -132,10 +146,10 @@ def _build(document: dict) -> ToolkitConfig:
                                 or UD_RELATIONS)
 
     pipeline_doc = _section(document, "pipeline")
-    workers = _number(pipeline_doc, "pipeline.workers", int)
-    if workers < 1:
-        raise ConfigError(f"pipeline.workers must be at least 1, got {workers}")
     backend_doc = _section(document, "backend")
+    if backend_doc["mode"] not in BACKEND_MODES:
+        raise ConfigError(f"backend.mode: expected one of {', '.join(BACKEND_MODES)}, "
+                          f"got {backend_doc['mode']!r}")
     backend = BackendConfig(
         mode=backend_doc["mode"],
         base_url=backend_doc["base_url"],
@@ -143,9 +157,9 @@ def _build(document: dict) -> ToolkitConfig:
         temperature=_number(backend_doc, "backend.temperature"),
         max_tokens=_number(backend_doc, "backend.max_tokens", int),
         timeout_s=_number(backend_doc, "backend.timeout_s"),
-        retries=_number(backend_doc, "backend.retries", int),
+        retries=_at_least(backend_doc, "backend.retries", 0),
         replay_dir=backend_doc["replay_dir"],
-        max_in_flight=_number(backend_doc, "backend.max_in_flight", int),
+        max_in_flight=_at_least(backend_doc, "backend.max_in_flight", 1),
         auth_env_var=backend_doc["auth_env_var"],
     )
 
@@ -157,6 +171,6 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_upos=allowed_upos,
         allowed_deprels=allowed_deprels,
         backend=backend,
-        workers=workers,
-        agent_retries=_number(pipeline_doc, "pipeline.agent_retries", int),
+        workers=_at_least(pipeline_doc, "pipeline.workers", 1),
+        agent_retries=_at_least(pipeline_doc, "pipeline.agent_retries", 0),
     )

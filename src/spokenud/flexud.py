@@ -664,14 +664,15 @@ def evaluate_sentence(gold: Sentence, system: Sentence,
 class FlexResult:
     sentence_id: str
     category: Category | None
-    score: FlexScore
+    components: ComponentScores
+    final: int
 
 
 def _mean_scores(results: list[FlexResult]) -> tuple[float, ...]:
     """The mean (ID, UPOS, HEAD, DEPREL, Final), or zeros for no results."""
     if not results:
         return (0.0,) * 5
-    vectors = [r.score.components.astuple()[1:] + (r.score.final,) for r in results]
+    vectors = [r.components.astuple()[1:] + (r.final,) for r in results]
     return tuple(sum(col) / len(col) for col in zip(*vectors))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
@@ -431,7 +431,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class BenchmarkManifest:
     entries: tuple[ManifestEntry, ...]
-    declared_counts: dict = field(default_factory=dict)
 
     def category_distribution(self) -> dict[Category, int]:
         distribution: dict[Category, int] = {}
@@ -466,7 +465,7 @@ def load_manifest(path) -> BenchmarkManifest:
                 # Keep the error's type; prefix its message with the location.
                 err.args = (f"{path}: line {line_no}: {err}",)
                 raise
-    manifest = BenchmarkManifest(tuple(entries), declared)
+    manifest = BenchmarkManifest(tuple(entries))
     if declared:
         actual = manifest.category_distribution()
         if actual != {k: v for k, v in declared.items() if v}:
@@ -479,7 +478,7 @@ def load_manifest(path) -> BenchmarkManifest:
 def _manifest_object(line: str) -> dict:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also a huge int
         raise SpokenUdError(f"not valid JSON: {err}") from err
     if not isinstance(obj, dict):
         raise SpokenUdError("expected a JSON object")

@@ -16,27 +16,22 @@ def parse_sentence(sentence: Sentence, backend, config) -> FinalParse | Sentence
     """Run the fixed stage sequence over one tokenized sentence.
 
     Stage failures (schema violations after retries, backend errors) are
-    contained in a SentenceFailure carrying the envelopes produced so far;
-    a batch never aborts because one sentence failed.
+    contained in a SentenceFailure naming the stage; a batch never aborts
+    because one sentence failed.
     """
-    envelopes: dict = {}
     stage = "sph"
     try:
         sph = run_agent("sph", sentence, backend, config)
-        envelopes["sph"] = sph
         stage = "lsr"
         lsr = run_agent("lsr", sph, backend, config, input_sentence=sentence)
-        envelopes["lsr"] = lsr
         stage = "core"
         core = run_agent("core", lsr, backend, config, input_sentence=sentence)
-        envelopes["core"] = core
         return finalize(sph, lsr, core, config)
     except (SchemaViolation, BackendError) as err:
         return SentenceFailure(
             sentence_id=sentence.sentence_id,
             stage=stage.upper(),
             error=str(err),
-            envelopes=envelopes,
             attempts=getattr(err, "attempts", None),
             violations=getattr(err, "violations", []),
         )

@@ -162,7 +162,6 @@ class SentenceFailure:
     sentence_id: str
     stage: str
     error: str
-    envelopes: dict = field(default_factory=dict)
     attempts: int | None = None  # from a SchemaViolation; None for a BackendError
     violations: list = field(default_factory=list)
 

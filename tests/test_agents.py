@@ -98,7 +98,6 @@ def test_failure_contained_in_sentence_failure(config):
     result = parse_sentence(sentence, backend, config)
     assert isinstance(result, SentenceFailure)
     assert result.stage == "SPH"
-    assert result.envelopes == {}
 
 
 def test_core_with_two_roots_triggers_retry(config):

@@ -11,7 +11,6 @@ from spokenud.backends import (
     HttpStatus,
     ReplayMiss,
     ReplayStore,
-    StubBackend,
     make_backend,
     request_fingerprint,
 )
@@ -58,8 +57,9 @@ VALID_RECORD = '{"request_hash": "ab", "raw_response": "x"}'
 @pytest.mark.parametrize("content", ['{"request_hash": "ab'.encode(),
                                      '{"raw_response": "é'.encode()[:-1],
                                      VALID_RECORD.encode("utf-16"),
-                                     VALID_RECORD.encode("utf-8-sig")],
-                         ids=["truncated-json", "truncated-utf8", "utf16", "utf8-bom"])
+                                     VALID_RECORD.encode("utf-8-sig"), b"9" * 5000],
+                         ids=["truncated-json", "truncated-utf8", "utf16", "utf8-bom",
+                              "huge-int"])
 def test_replay_store_corrupt_record_is_a_backend_error_naming_the_file(
         tmp_path, content):
     """Records are UTF-8 without a BOM; json.loads of the bytes would accept
@@ -95,43 +95,35 @@ def test_replay_store_save_replaces_atomically(tmp_path):
 def test_replay_hit_is_byte_identical(tmp_path):
     config = BackendConfig(mode="replay", replay_dir=str(tmp_path))
     fp = request_fingerprint("sys", "user", config.model_name)
-    ReplayStore(tmp_path).save(fp[:16], fp, "response éxacte")
-    first = make_backend(config).complete("sys", "user")
-    second = make_backend(config).complete("sys", "user")
+    ReplayStore(tmp_path).save("s1.sph", fp, "response éxacte")
+    first = make_backend(config).complete("sys", "user", "s1.sph")
+    second = make_backend(config).complete("sys", "user", "s1.sph")
     assert first == second == "response éxacte"
-
-
-def test_stub_pattern_table():
-    backend = StubBackend(table=[("hello", "world"), ("", "default")])
-    assert backend.complete("s", "say hello") == "world"
-    assert backend.complete("s", "anything") == "default"
-
-
-def test_stub_queue_consumed_per_call():
-    backend = StubBackend(table=[("x", ["first", "second"])])
-    assert backend.complete("s", "x") == "first"
-    assert backend.complete("s", "x") == "second"
-    assert backend.complete("s", "x") == "second"
-
-
-def test_stub_miss_raises():
-    backend = StubBackend(table=[("needle", "y")])
-    with pytest.raises(BackendError):
-        backend.complete("s", "haystack")
 
 
 def test_live_requires_credentials(monkeypatch):
     monkeypatch.delenv("SPOKENUD_API_KEY", raising=False)
     config = BackendConfig(mode="live", base_url="http://localhost:1")
     with pytest.raises(AuthMissing):
-        make_backend(config).complete("s", "u")
+        make_backend(config).complete("s", "u", "s1.sph")
 
 
-def test_config_mode_requirements():
-    with pytest.raises(BackendError):
-        BackendConfig(mode="replay")
-    with pytest.raises(BackendError):
-        BackendConfig(mode="bogus")
+@pytest.mark.parametrize("settings, message", [
+    ({"mode": "replay"}, "replay mode requires a replay directory"),
+    ({"mode": "record", "base_url": "http://localhost:1"},
+     "record mode requires a replay directory"),
+    ({"mode": "record", "replay_dir": "r", "base_url": ""}, "record mode requires a base URL"),
+    ({"mode": "live", "base_url": ""}, "live mode requires a base URL"),
+    ({"mode": "bogus"}, "backend mode bogus has no responses to give: "
+                        "use replay --replay-dir DIR, record or live"),
+], ids=["replay-without-dir", "record-without-dir", "record-without-url",
+        "live-without-url", "unknown-mode"])
+def test_make_backend_checks_the_settings_its_mode_needs(settings, message):
+    # Checked where the backend is built, not where the config is made.
+    config = BackendConfig(**settings)
+    with pytest.raises(BackendError) as err:
+        make_backend(config)
+    assert str(err.value) == message
 
 
 class _MockCompletionHandler(BaseHTTPRequestHandler):
@@ -178,7 +170,7 @@ def mock_server():
 def test_live_round_trip(mock_server, monkeypatch):
     monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
-    assert make_backend(config).complete("sys", "ping") == "echo: ping"
+    assert make_backend(config).complete("sys", "ping", "s1.sph") == "echo: ping"
     call = _MockCompletionHandler.calls[0]
     assert call["temperature"] == 0.0
     assert call["messages"][0]["role"] == "system"
@@ -189,7 +181,7 @@ def test_live_retries_on_transient_status(mock_server, monkeypatch):
     _MockCompletionHandler.status_queue = [429, 500]
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5,
                            backoff_base_s=0.01)
-    assert make_backend(config).complete("sys", "ping") == "echo: ping"
+    assert make_backend(config).complete("sys", "ping", "s1.sph") == "echo: ping"
     assert len(_MockCompletionHandler.calls) == 3
 
 
@@ -198,7 +190,7 @@ def test_live_fatal_status_raises(mock_server, monkeypatch):
     _MockCompletionHandler.status_queue = [401]
     config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
     with pytest.raises(HttpStatus) as err:
-        make_backend(config).complete("sys", "ping")
+        make_backend(config).complete("sys", "ping", "s1.sph")
     assert err.value.code == 401
 
 

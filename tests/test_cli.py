@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from spokenud.cli import main
-from spokenud.ioformats import parse_conllu, parse_sheet
+from spokenud.ioformats import emit_conllu, parse_conllu, parse_sheet
 
 DATA = Path(__file__).parent / "data"
 GOLD = DATA / "gold" / "fixture_corpus.conllu"
@@ -198,6 +198,32 @@ def test_report_rebuilds_identical_tables(tmp_path):
             (eval_out / name).read_text("utf-8")
 
 
+def test_report_rebuilds_identical_tables_from_scores_that_all_differ(tmp_path):
+    # Perturbed pairs: no two components and no two counts agree on every
+    # sentence, so a decoder that reads one field for another changes a table.
+    from test_eval_golden import corpus
+
+    golds, systems = (sentences[:60] for sentences in corpus())
+    gold, system = tmp_path / "gold.conllu", tmp_path / "system.conllu"
+    gold.write_text(emit_conllu(golds), encoding="utf-8")
+    system.write_text(emit_conllu(systems), encoding="utf-8")
+    eval_out, report_out = tmp_path / "eval", tmp_path / "report"
+    assert run(["eval", "--gold", gold, "--system", system, "--out", eval_out]) == 0
+    records = [json.loads(line) for line in
+               (eval_out / "per_sentence.jsonl").read_text("utf-8").splitlines()]
+    for fields in ([r["flexud"] for r in records], [r["standard"]["counts"] for r in records]):
+        keys = [k for k, v in fields[0].items() if type(v) is int]
+        columns = {tuple(f[k] for f in fields) for k in keys}
+        assert len(keys) >= 5 and len(columns) == len(keys)
+    assert run(["report", "--results", eval_out / "per_sentence.jsonl",
+                "--out", report_out]) == 0
+    for name in ("standard", "flexud"):
+        for suffix in ("md", "csv"):
+            path = f"{name}_by_category.{suffix}"
+            assert (report_out / path).read_text("utf-8") == \
+                (eval_out / path).read_text("utf-8")
+
+
 # --- parse --------------------------------------------------------------------
 
 @pytest.fixture
@@ -307,6 +333,23 @@ def test_backend_misconfiguration_exit_code(tmp_path, manifest_path, capsys):
     assert "backend error" in capsys.readouterr().err
 
 
+def test_config_replay_mode_needs_its_directory_only_to_build_the_backend(
+        tmp_path, replay_dir, manifest_path, capsys):
+    config = tmp_path / "replay.yaml"
+    config.write_text("backend: {mode: replay}\n", encoding="utf-8")
+    assert run(["--config", config, "parse", "--manifest", manifest_path,
+                "--out", tmp_path / "p", "--replay-dir", replay_dir]) == 0
+    assert run(["--config", config, "eval", "--gold", GOLD, "--system", GOLD,
+                "--out", tmp_path / "e"]) == 0
+    assert run(["--config", config, "validate", GOLD]) == 0
+    capsys.readouterr()
+    assert run(["--config", config, "parse", "--manifest", manifest_path,
+                "--out", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err == \
+        "backend error: replay mode requires a replay directory\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _manifest_with_ids(tmp_path, manifest_path, sids):
     sids = iter(sids)
     out = []
@@ -337,6 +380,8 @@ def _broken_line(line, case):
         return line[:40]
     if case == "not an object":
         return "[1, 2]"
+    if case == "huge int":  # past int's 4,300-digit limit, a ValueError
+        return "9" * 5000
     obj = json.loads(line)
     del obj[case]
     return json.dumps(obj)
@@ -347,7 +392,8 @@ def _broken_line(line, case):
     ("not an object", "expected a JSON object"),
     ("category", "missing key 'category'"),
     ("tokens", "missing key 'tokens'"),
-], ids=["malformed", "not-an-object", "no-category", "no-tokens"])
+    ("huge int", "not valid JSON: Exceeds the limit"),
+], ids=["malformed", "not-an-object", "no-category", "no-tokens", "huge-int"])
 def test_parse_broken_manifest_line_exits_one_and_names_line(
         tmp_path, manifest_path, capsys, case, message):
     lines = Path(manifest_path).read_text("utf-8").splitlines()

@@ -1,13 +1,19 @@
-"""A seeded, in-process fuzz of ``validate``, ``eval`` and ``report``.
+"""A seeded, in-process fuzz of every subcommand.
 
 Mutated CoNLL-U and sheet files, built from generated sentences, and
 mutated ``per_sentence.jsonl`` files, built by ``eval``, must end in exit 0
 or 1: an input the readers refuse is an error naming the line, never an
-exception escaping ``cli.main``.
+exception escaping ``cli.main``. Mutated manifests and replay records under
+``parse --backend-mode replay``, and mutated ``--config`` files under
+``eval``, must end in one of the documented exit codes 0 to 3.
 """
 
 import json
 import random
+import shutil
+from importlib import resources
+
+import yaml
 
 from spokenud.cli import main
 from spokenud.ioformats import emit_conllu, emit_sheet
@@ -90,8 +96,8 @@ JSON_NOISE = [None, "", "x", "none", -1, 0, 101, 1.5, 10 ** 30, float("nan"), Tr
               [], {}, [1], {"a": 1}]
 
 
-def mutate_record(rng, record):
-    """Replace or drop one value somewhere inside a decoded result record."""
+def mutate_record(rng, record, noise=JSON_NOISE):
+    """Replace or drop one value somewhere inside a decoded record."""
     parent, key = None, None
     node = record
     while isinstance(node, (dict, list)) and node and rng.random() < 0.8:
@@ -99,11 +105,11 @@ def mutate_record(rng, record):
         key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
         node = node[key]
     if parent is None:
-        return rng.choice(JSON_NOISE)
+        return rng.choice(noise)
     if isinstance(parent, dict) and rng.random() < 0.3:
         del parent[key]
     else:
-        parent[key] = rng.choice(JSON_NOISE)
+        parent[key] = rng.choice(noise)
     return record
 
 
@@ -137,5 +143,111 @@ def test_report_exits_zero_or_one_on_mutated_results(tmp_path, capsys):
             err.add_note(f"case {case}: report on\n" + "\n".join(mutated))
             raise
         assert codes[-1] in (0, 1), (case, mutated)
+    capsys.readouterr()
+    assert 0.2 < codes.count(1) / len(codes) < 0.95, codes.count(1)
+
+
+def exit_code(argv) -> int:
+    """The exit code of ``spokenud argv``, a usage error's included."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+def mutate_json_line(rng, lines, i):
+    """Mutate line ``i`` of a JSON-lines text in place."""
+    kind = rng.random()
+    if kind < 0.6:
+        lines[i] = json.dumps(mutate_record(rng, json.loads(lines[i])), ensure_ascii=False)
+    elif kind < 0.7:
+        lines[i] = lines[i][:rng.randrange(len(lines[i]))]
+    elif kind < 0.8:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    elif kind < 0.9:
+        del lines[i]
+    else:
+        lines[i] = rng.choice(NOISE)
+
+
+def mutate_replay_record(rng, path):
+    """Mutate the recorded response, the record around it, or its bytes."""
+    record = json.loads(path.read_text("utf-8"))
+    kind = rng.random()
+    if kind < 0.5:
+        record["raw_response"] = json.dumps(
+            mutate_record(rng, json.loads(record["raw_response"])), ensure_ascii=False)
+        path.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
+    elif kind < 0.75:
+        path.write_text(json.dumps(mutate_record(rng, record)), encoding="utf-8")
+    elif kind < 0.9:
+        data = path.read_bytes()
+        path.write_bytes(data[:rng.randrange(len(data))])
+    else:
+        path.write_bytes(rng.choice([b"", b"\xff\xfe{", b"[]", b"null", b"{}"]))
+
+
+PARSE_CASES = 60
+
+
+def test_replay_parse_exits_with_a_documented_code_on_mutated_inputs(
+        tmp_path, capsys, pipeline_manifest_path, replay_dir):
+    rng = random.Random(19)
+    lines = pipeline_manifest_path.read_text("utf-8").splitlines()
+    records = sorted(p.name for p in replay_dir.iterdir())
+    codes = []
+    for case in range(PARSE_CASES):
+        manifest, replay = tmp_path / f"manifest{case}.jsonl", tmp_path / f"replay{case}"
+        mutated = list(lines)
+        shutil.copytree(replay_dir, replay)
+        kind = rng.random()
+        if kind < 0.6:
+            mutate_json_line(rng, mutated, rng.randrange(len(mutated)))
+        if kind > 0.4:
+            mutate_replay_record(rng, replay / rng.choice(records))
+        manifest.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+        argv = ["parse", "--manifest", str(manifest), "--out", str(tmp_path / f"o{case}"),
+                "--backend-mode", "replay", "--replay-dir", str(replay)]
+        try:
+            codes.append(exit_code(argv))
+        except BaseException as err:
+            err.add_note(f"case {case}: parse over\n" + "\n".join(mutated))
+            raise
+        assert codes[-1] in (0, 1, 2, 3), (case, mutated)
+    capsys.readouterr()
+    # Most mutations are refused; some must still parse.
+    assert {0, 1} <= set(codes), codes
+
+
+# YAML values at the edges of what a config setting holds.
+YAML_NOISE = JSON_NOISE + [float("inf"), -float("inf"), "1e3", "stub", "bogus", 0.0, 2,
+                           [["a"]], [[1, 2]], {"a": [1]}]
+CONFIG_CASES = 150
+
+
+def test_eval_exits_with_a_documented_code_on_mutated_config(tmp_path, capsys):
+    rng = random.Random(23)
+    default = resources.files("spokenud.data").joinpath("default_config.yaml")
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(emit_conllu([random_sentence(rng, f"c{i}") for i in range(3)]),
+                    encoding="utf-8")
+    codes = []
+    for case in range(CONFIG_CASES):
+        document = yaml.safe_load(default.read_text("utf-8"))
+        for _ in range(rng.randint(1, 2)):
+            document = mutate_record(rng, document, YAML_NOISE)
+        text = yaml.safe_dump(document, allow_unicode=True)
+        if rng.random() < 0.15:
+            text = text[:rng.randrange(len(text))] + rng.choice(["[", ": :", "\t", "{", "&"])
+        config = tmp_path / f"config{case}.yaml"
+        config.write_bytes((b"" if rng.random() < 0.95 else b"\xff") + text.encode("utf-8"))
+        argv = ["--config", str(config), "eval", "--gold", str(gold), "--system", str(gold),
+                "--out", str(tmp_path / "eval")]
+        try:
+            codes.append(exit_code(argv))
+        except BaseException as err:
+            err.add_note(f"case {case}: eval under the config\n{text}")
+            raise
+        assert codes[-1] in (0, 1, 2, 3), (case, text)
     capsys.readouterr()
     assert 0.2 < codes.count(1) / len(codes) < 0.95, codes.count(1)

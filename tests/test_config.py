@@ -1,14 +1,16 @@
 import ast
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
 import yaml
 
-from spokenud.backends import BackendError, make_backend
+from spokenud.backends import BackendConfig, BackendError, make_backend
 from spokenud.cli import main
-from spokenud.config import ConfigError, load_config
+from spokenud.config import ConfigError, ToolkitConfig, load_config
 from spokenud.core import UD_RELATIONS, UPOS_TAGS
+from spokenud.flexud import PenaltySchedule, ToleranceConfig, Weights
 
 
 def test_defaults_load():
@@ -24,6 +26,19 @@ def test_defaults_load():
     assert config.backend.mode == "stub"
     assert config.backend.temperature == 0.0
     assert config.agent_retries == 2
+
+
+def test_shipped_defaults_equal_the_dataclass_defaults():
+    # Library calls such as evaluate_sentence(gold, system) use the dataclass
+    # defaults; the command line uses the shipped YAML. They must not drift.
+    config = load_config()
+    assert config.weights == Weights()
+    assert config.tolerance == ToleranceConfig()
+    assert config.penalties == PenaltySchedule()
+    assert config.backend == BackendConfig()
+    defaults = {f.name: f.default for f in fields(ToolkitConfig)}
+    assert (config.workers, config.agent_retries) == (
+        defaults["workers"], defaults["agent_retries"])
 
 
 def test_user_file_overrides_defaults(tmp_path):
@@ -102,10 +117,37 @@ def assert_config_error(tmp_path, capsys, document, message):
      "pipeline.agent_retries: expected int, got None"),
     ("backend:\n  timeout_s: soon\n", "backend.timeout_s: expected float, got 'soon'"),
     ("backend:\n  max_tokens: '1.5'\n", "backend.max_tokens: expected int, got '1.5'"),
+    ("evaluation:\n  tolerance: {upos_credit: .nan}\n",
+     "evaluation.tolerance.upos_credit: expected float, got nan"),
+    ("pipeline:\n  workers: .inf\n", "pipeline.workers: expected int, got inf"),
 ])
 def test_non_numeric_value_exits_one_naming_key_and_value(tmp_path, capsys,
                                                           document, message):
     assert_config_error(tmp_path, capsys, document, message)
+
+
+@pytest.mark.parametrize("document, message", [
+    ("backend: {mode: bogus}\n",
+     "backend.mode: expected one of live, record, replay, stub, got 'bogus'"),
+    ("backend: {max_in_flight: 0}\n", "backend.max_in_flight must be at least 1, got 0"),
+    ("backend: {max_in_flight: -1}\n", "backend.max_in_flight must be at least 1, got -1"),
+    ("backend: {retries: -1}\n", "backend.retries must be at least 0, got -1"),
+    ("pipeline: {agent_retries: -1}\n",
+     "pipeline.agent_retries must be at least 0, got -1"),
+])
+def test_out_of_range_backend_or_retry_setting_exits_one_naming_the_key(
+        tmp_path, capsys, monkeypatch, pipeline_manifest_path, document, message):
+    assert_config_error(tmp_path, capsys, document, message)
+    # Refused before any command runs, also by the ones that would use it.
+    monkeypatch.delenv("SPOKENUD_API_KEY", raising=False)
+    user, out = str(tmp_path / "user.yaml"), str(tmp_path / "o")
+    for command in (["eval", "--gold", user, "--system", user, "--out", out],
+                    ["parse", "--manifest", str(pipeline_manifest_path),
+                     "--out", out, "--backend-mode", "live",
+                     "--base-url", "http://127.0.0.1:1"]):
+        assert main(["--config", user, *command]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("document, message", [
@@ -198,6 +240,15 @@ def test_config_loads_the_same_without_libyaml(tmp_path, monkeypatch):
 def test_missing_config_file_errors():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/config.yaml")
+
+
+@pytest.mark.parametrize("content", [b"evaluation: [\n", b"\xffpipeline: {}\n"],
+                         ids=["not-yaml", "not-utf8"])
+def test_config_file_that_is_not_utf8_yaml_is_a_config_error(tmp_path, content):
+    user = tmp_path / "user.yaml"
+    user.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"^config file is not UTF-8 YAML: {user}: "):
+        load_config(user)
 
 
 def test_stub_backend_from_config(tmp_path, pipeline_manifest_path, capsys):

@@ -13,7 +13,6 @@ from spokenud.flexud import (
     AlignmentLink,
     ComponentScores,
     FlexResult,
-    FlexScore,
     PenaltySchedule,
     SeverityIssue,
     SeverityReport,
@@ -583,10 +582,7 @@ def test_self_evaluation_random_sentences():
 # --- report ------------------------------------------------------------------------
 
 def flex_result(sid, category, final, components=(100, 90, 80, 70, 60)):
-    score = FlexScore(ComponentScores(*components), DEFAULT_WEIGHTS,
-                      raw=75.0, severity=report_with_p(0.0),
-                      final=final, diagnostics=())
-    return FlexResult(sid, category, score)
+    return FlexResult(sid, category, ComponentScores(*components), final)
 
 
 def test_flex_report_layout():

@@ -4,11 +4,8 @@ import pytest
 
 from spokenud.core import ROOT, Category, NodeId, Sentence, SpokenUdError, Token
 from spokenud.flexud import (
-    DEFAULT_WEIGHTS,
     ComponentScores,
     FlexResult,
-    FlexScore,
-    SeverityReport,
     align_tokens,
     flexud_report,
 )
@@ -153,9 +150,7 @@ def test_aggregate_order_invariance():
 
 
 def make_flex_result(sid, category, *_):
-    score = FlexScore(ComponentScores(100, 90, 80, 70, 60), DEFAULT_WEIGHTS, raw=75.0,
-                      severity=SeverityReport((), 0.0), final=70, diagnostics=())
-    return FlexResult(sid, category, score)
+    return FlexResult(sid, category, ComponentScores(100, 90, 80, 70, 60), 70)
 
 
 @pytest.mark.parametrize("tabulate, make", [
