@@ -70,23 +70,30 @@ def load_config(path: str | Path | None = None) -> ToolkitConfig:
     return _build(document)
 
 
-def _number(doc: dict, key: str, kind=float):
-    """The value of dotted ``key``'s last part in ``doc``, as ``kind``."""
+def _number(doc: dict, key: str, kind=float, least=None):
+    """The value at dotted ``key``'s last part in ``doc`` as ``kind``, at least
+    ``least`` if given. A boolean, or a fraction where an int is expected, is
+    refused, as is nan, which would pass every range check."""
     value = doc[key.rpartition(".")[2]]
     try:
-        if math.isfinite(number := kind(value)):  # nan would pass every range check
-            return number
+        number = kind(value)
+        valid = math.isfinite(number) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+        valid = False
+    if not valid or kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if least is not None and number < least:
+        raise ConfigError(f"{key} must be at least {least}, got {number}")
+    return number
 
 
-def _at_least(doc: dict, key: str, least: int) -> int:
-    """The integer at dotted ``key``'s last part in ``doc``, at least ``least``."""
-    value = _number(doc, key, int)
-    if value < least:
-        raise ConfigError(f"{key} must be at least {least}, got {value}")
-    return value
+def _string(doc: dict, key: str, nullable: bool = False) -> str | None:
+    """The string (with ``nullable``, or null) at dotted ``key``'s last part in ``doc``."""
+    value = doc[key.rpartition(".")[2]]
+    if isinstance(value, str) or nullable and value is None:
+        return value
+    raise ConfigError(f"{key}: expected a string{' or null' if nullable else ''}, "
+                      f"got {value!r}")
 
 
 def _section(doc: dict, key: str) -> dict:
@@ -152,15 +159,15 @@ def _build(document: dict) -> ToolkitConfig:
                           f"got {backend_doc['mode']!r}")
     backend = BackendConfig(
         mode=backend_doc["mode"],
-        base_url=backend_doc["base_url"],
-        model_name=backend_doc["model_name"],
+        base_url=_string(backend_doc, "backend.base_url", nullable=True),
+        model_name=_string(backend_doc, "backend.model_name"),
         temperature=_number(backend_doc, "backend.temperature"),
         max_tokens=_number(backend_doc, "backend.max_tokens", int),
         timeout_s=_number(backend_doc, "backend.timeout_s"),
-        retries=_at_least(backend_doc, "backend.retries", 0),
-        replay_dir=backend_doc["replay_dir"],
-        max_in_flight=_at_least(backend_doc, "backend.max_in_flight", 1),
-        auth_env_var=backend_doc["auth_env_var"],
+        retries=_number(backend_doc, "backend.retries", int, least=0),
+        replay_dir=_string(backend_doc, "backend.replay_dir", nullable=True),
+        max_in_flight=_number(backend_doc, "backend.max_in_flight", int, least=1),
+        auth_env_var=_string(backend_doc, "backend.auth_env_var"),
     )
 
     return ToolkitConfig(
@@ -171,6 +178,6 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_upos=allowed_upos,
         allowed_deprels=allowed_deprels,
         backend=backend,
-        workers=_at_least(pipeline_doc, "pipeline.workers", 1),
-        agent_retries=_at_least(pipeline_doc, "pipeline.agent_retries", 0),
+        workers=_number(pipeline_doc, "pipeline.workers", int, least=1),
+        agent_retries=_number(pipeline_doc, "pipeline.agent_retries", int, least=0),
     )

@@ -37,9 +37,9 @@ class SchemaViolation(SpokenUdError):
             f"{stage.upper()} output invalid after {attempts} attempts: {summary}")
 
 
-# Only parse checks stage schemas, so eval, validate and report never load
-# jsonschema: its code runs on its first attribute access, which happens in
-# _validator under _validators_lock (on Python 3.11 that load is not thread-safe).
+# The program never runs jsonschema (_compile decides, _errors words a refusal).
+# This lazy binding, whose code never loads, is only the name perfbench/tracer.py
+# hooks for its schema_check layer; ROADMAP item 1 deletes it.
 jsonschema = sys.modules.get("jsonschema")
 if jsonschema is None:
     _spec = importlib.util.find_spec("jsonschema")
@@ -52,33 +52,38 @@ if jsonschema is None:
 _validators: dict = {}
 _validators_lock = threading.Lock()
 
-_KEYWORDS = frozenset((
-    "type", "required", "properties", "items", "minItems", "minLength",
-    "pattern", "patternProperties", "additionalProperties", "enum", "minimum",
-    "maximum", "$ref", "$schema", "$id", "title", "description", "$defs"))
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
           "null": type(None), "number": (int, float), "integer": int}
 
 
+def _names(types) -> list:  # a schema's "type", a name or a list of names
+    return [types] if isinstance(types, str) else types
+
+
+# Keyword -> the type of the values _compile takes for it (the metaschema's, or narrower).
+_KEYWORDS = {"type": (str, list), "enum": list, "required": list, "pattern": str, "$ref": str,
+             "additionalProperties": bool, "minimum": (int, float), "maximum": (int, float),
+             "minItems": int, "minLength": int, "properties": dict, "patternProperties": dict,
+             "items": dict, "$defs": dict, "$schema": str, "$id": str, "title": str,
+             "description": str}
+
+
 def _validator(stage: str):
-    """The stage's jsonschema validator and compiled predicate, built once per
-    process on first use; a schema its metaschema refuses fails loudly."""
+    """The stage's schema and its compiled predicate, built once per process."""
     with _validators_lock:
         if stage not in _validators:
             schema = stage_schema(stage)
-            cls = jsonschema.validators.validator_for(schema)
-            cls.check_schema(schema)
-            _validators[stage] = cls(schema), _compile(stage, schema)
+            _validators[stage] = schema, _compile(stage, schema)
         return _validators[stage]
 
 
 def _compile(stage: str, root: dict):
     """``root`` compiled in one walk into generated Python, one function of
     ``obj`` per node over the keywords it has, with jsonschema's draft 2020-12
-    verdict for those in _KEYWORDS; the last five check nothing, and any other
-    keyword fails loudly. Constants reach the code by name; only the ``repr``
-    of property names is spliced into it. Enum members are scalars; True
-    never equals 1, as in jsonschema."""
+    verdict for those in _KEYWORDS; the last five check nothing. Any other
+    keyword, or a value its keyword does not take, fails loudly. Constants
+    reach the code by name; only the ``repr`` of property names is spliced
+    into it. Enum members are scalars; True never equals 1, as in jsonschema."""
     source: list[str] = []
     consts: dict = {"MISSING": object()}
     # $defs name -> its function; $ref target -> the name bound to that function;
@@ -97,10 +102,13 @@ def _compile(stage: str, root: dict):
         if not isinstance(schema, dict):
             raise SpokenUdError(f"{stage} schema: unsupported subschema {schema!r}")
         for key, value in schema.items():
-            if key not in _KEYWORDS or key == "$ref" and not value.startswith("#/$defs/") \
-                    or key == "additionalProperties" and not isinstance(value, bool) \
-                    or key == "enum" and any(isinstance(v, (list, dict)) for v in value):
-                raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}")
+            if not isinstance(value, _KEYWORDS.get(key, ())) \
+                    or isinstance(value, bool) != (key == "additionalProperties") \
+                    or key == "type" and not (value and all(
+                        isinstance(name, str) and name in _TYPES for name in _names(value))) \
+                    or key == "enum" and any(isinstance(v, (list, dict)) for v in value) \
+                    or key == "$ref" and not value.startswith("#/$defs/"):
+                raise SpokenUdError(f"{stage} schema: unsupported keyword {key!r}: {value!r}")
         get, checks = schema.get, []
         # Only the root's $defs count.
         (defs if schema is root else {}).update(
@@ -114,7 +122,7 @@ def _compile(stage: str, root: dict):
             checks.append(refs.setdefault(get("$ref")[len("#/$defs/"):], f"r{len(refs)}")
                           + "(obj)")
         if "type" in schema:
-            names = {get("type")} if isinstance(get("type"), str) else set(get("type"))
+            names = set(_names(get("type")))
             check = f"isinstance(obj, {const(tuple(_TYPES[name] for name in names))})"
             if names & {"number", "integer"} and "boolean" not in names:
                 check += " and not isinstance(obj, bool)"
@@ -172,17 +180,74 @@ def _compile(stage: str, root: dict):
     return consts[top]
 
 
+def _is_type(obj, types) -> bool:  # jsonschema's verdict on obj for a schema's "type"
+    return any(name == "boolean" if isinstance(obj, bool) else isinstance(obj, _TYPES[name])
+               or name == "integer" and isinstance(obj, float) and obj.is_integer()
+               for name in _names(types))
+
+
+def _errors(schema: dict, obj, path: tuple, defs: dict):
+    """jsonschema 4.26's errors in ``obj`` under ``schema``, in its order (keywords
+    as listed, depth first), as ((-len(path), path, not matches_type), message):
+    ``matches_type`` if ``obj`` is of the ``type`` of the schema holding the keyword."""
+    matches_type = "type" in schema and _is_type(obj, schema["type"])
+    rank = (-len(path), path, not matches_type)
+    for key, value in schema.items():
+        if key == "$ref":
+            yield from _errors(defs[value[len("#/$defs/"):]], obj, path, defs)
+        elif key == "items" and isinstance(obj, list):
+            for index, item in enumerate(obj):
+                yield from _errors(value, item, path + (index,), defs)
+        elif key == "properties" and isinstance(obj, dict):
+            for name in filter(obj.__contains__, value):
+                yield from _errors(value[name], obj[name], path + (name,), defs)
+        elif key == "patternProperties" and isinstance(obj, dict):
+            for pattern, sub in value.items():
+                for name in filter(re.compile(pattern).search, obj):
+                    yield from _errors(sub, obj[name], path + (name,), defs)
+        elif key == "required" and isinstance(obj, dict):
+            yield from ((rank, f"{name!r} is a required property") for name in value
+                        if name not in obj)
+        elif key == "type" and not matches_type:
+            yield rank, f"{obj!r} is not of type {', '.join(map(repr, _names(value)))}"
+        elif key == "enum" and (isinstance(obj, (list, dict)) or (isinstance(obj, bool), obj)
+                                not in {(isinstance(e, bool), e) for e in value}):
+            yield rank, f"{obj!r} is not one of {value!r}"
+        elif key == "pattern" and isinstance(obj, str) and not re.search(value, obj):
+            yield rank, f"{obj!r} does not match {value!r}"
+        elif key in ("minimum", "maximum") and _is_type(obj, "number") \
+                and (obj < value if key == "minimum" else obj > value):
+            yield rank, (f"{obj!r} is {'less' if key == 'minimum' else 'greater'} "
+                         f"than the {key} of {value!r}")
+        elif key in ("minLength", "minItems") \
+                and isinstance(obj, str if key == "minLength" else list) and len(obj) < value:
+            yield rank, f"{obj!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "additionalProperties" and value is False and isinstance(obj, dict):
+            patterns = schema.get("patternProperties")
+            extras = [repr(name) for name in sorted(obj) if name not in schema.get(
+                "properties", {}) and not any(re.search(p, name) for p in patterns or ())]
+            one, listed = len(extras) == 1, ", ".join(extras)
+            if extras and patterns is None:
+                yield rank, (f"Additional properties are not allowed ({listed} "
+                             f"{'was' if one else 'were'} unexpected)")
+            elif extras:
+                yield rank, (f"{listed} {'does' if one else 'do'} not match any of the "
+                             f"regexes: {', '.join(map(repr, sorted(patterns)))}")
+
+
 def _schema_violations(stage: str, obj: dict) -> list[str]:
-    """The error ``jsonschema.validate`` would raise, as a violation line;
-    jsonschema is asked only about responses the predicate rejects."""
-    validator, conforms = _validator(stage)
+    """The error ``jsonschema.validate`` (4.26) raises, as a violation line. The
+    compiled predicate decides; of a refused ``obj``'s _errors, best_match's pick
+    is worded: the max of (-len(path), path, not matches_type), where the first
+    maximal error wins (its other terms rank anyOf and oneOf, which _compile
+    refuses). This heuristic may change between jsonschema versions, so
+    tests/test_schema_validator.py pins it with 4.26 as the oracle."""
+    schema, conforms = _validator(stage)
     if conforms(obj):
         return []
-    err = jsonschema.exceptions.best_match(validator.iter_errors(obj))
-    if err is None:
-        return []
-    path = "/".join(str(p) for p in err.absolute_path)
-    return [f"schema: {err.message} at {path or '<root>'}"]
+    (_, path, _), message = max(_errors(schema, obj, (), schema.get("$defs", {})),
+                                key=lambda error: error[0])
+    return [f"schema: {message} at {'/'.join(map(str, path)) or '<root>'}"]
 
 
 def _refuse_constant(name: str):

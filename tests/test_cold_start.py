@@ -3,19 +3,25 @@
 ``eval``, ``validate`` and ``report`` never check a stage schema, hash a
 request or start a worker pool, so importing the command line and running
 them loads neither ``jsonschema``'s code, nor ``hashlib``, nor the thread
-pool. ``parse`` still loads ``jsonschema`` on its first schema check, and
-that first load is safe when several worker threads make it at once.
+pool. ``parse`` checks stage schemas and words their refusals without
+loading ``jsonschema``'s code either, and its first check is safe when
+several worker threads make it at once.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from spokenud.pipeline import agents
+from spokenud.backends import ReplayStore, StubBackend, request_fingerprint
+from spokenud.config import load_config
+from spokenud.ioformats import load_manifest, manifest_entry_to_input_sentence
+from spokenud.pipeline import agents, parse_sentence
 from spokenud.pipeline.prompts import STAGES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).parent / "data"
 NOT_LOADED = ("jsonschema.validators", "jsonschema.exceptions", "hashlib", "_hashlib",
               "concurrent.futures")
 GOLD = """\
@@ -71,22 +77,41 @@ for argv in {commands!r}:
 
 def test_a_replay_parse_still_checks_the_stage_schemas(
         tmp_path, replay_dir, pipeline_manifest_path):
-    entry = pipeline_manifest_path.read_text(encoding="utf-8").splitlines()[1]
-    category = json.loads(entry)["category"]
+    """del1's first SPH answer lacks ``sentence_id``: the schema check refuses
+    it, the retry prompt carries the violation worded in-house, and the
+    replayed retry answer is found under that prompt's fingerprint, all
+    without loading jsonschema's code."""
+    entry = next(e for e in load_manifest(pipeline_manifest_path).entries
+                 if e.sentence_id == "del1")
+    directory = tmp_path / "replay"
+    shutil.copytree(replay_dir, directory)
+    store, config = ReplayStore(directory), load_config()
+
+    def answer(system, user, key):
+        raw = (DATA / "replay_scripts" / f"{key.removesuffix('.retry1')}.json").read_text("utf-8")
+        if key == "del1.sph":
+            raw = json.dumps({k: v for k, v in json.loads(raw).items() if k != "sentence_id"})
+        store.save(key, request_fingerprint(system, user, config.backend.model_name), raw)
+        return raw
+
+    parse_sentence(manifest_entry_to_input_sentence(entry), StubBackend(script=answer), config)
+    assert (directory / "del1.sph.retry1.json").is_file()
+    line = pipeline_manifest_path.read_text(encoding="utf-8").splitlines()[1]
+    assert json.loads(line)["sentence_id"] == "del1"
     (tmp_path / "one.jsonl").write_text(
-        json.dumps({"category_counts": {category: 1}}) + "\n" + entry + "\n",
-        encoding="utf-8")
+        json.dumps({"category_counts": {json.loads(line)["category"]: 1}}) + "\n"
+        + line + "\n", encoding="utf-8")
     argv = ["parse", "--manifest", str(tmp_path / "one.jsonl"), "--out",
             str(tmp_path / "out"), "--backend-mode", "replay", "--replay-dir",
-            str(replay_dir)]
+            str(directory)]
     result = run_fresh(f"""
 import contextlib, io
 from spokenud import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-result = [code, "jsonschema.validators" in sys.modules]
+result = [code, {LOADED}]
 """)
-    assert result == [0, True]
+    assert result == [0, ["hashlib", "_hashlib"]]
     assert (tmp_path / "out" / "parses.conllu").read_text(encoding="utf-8").strip()
 
 

@@ -151,6 +151,45 @@ def test_out_of_range_backend_or_retry_setting_exits_one_naming_the_key(
 
 
 @pytest.mark.parametrize("document, message", [
+    ("pipeline: {workers: 2.9}\n", "pipeline.workers: expected int, got 2.9"),
+    ("pipeline: {workers: true}\n", "pipeline.workers: expected int, got True"),
+    ("pipeline: {agent_retries: 1.5}\n", "pipeline.agent_retries: expected int, got 1.5"),
+    ("backend: {max_tokens: false}\n", "backend.max_tokens: expected int, got False"),
+    ("backend: {temperature: true}\n", "backend.temperature: expected float, got True"),
+    ("evaluation: {weights: {split: false}}\n",
+     "evaluation.weights.split: expected float, got False"),
+])
+def test_boolean_or_fractional_number_exits_one_naming_the_key(tmp_path, capsys,
+                                                                document, message):
+    assert_config_error(tmp_path, capsys, document, message)
+
+
+def test_integral_float_reads_as_an_int(tmp_path):
+    user = tmp_path / "user.yaml"
+    user.write_text("pipeline: {workers: 2.0, agent_retries: 0.0}\n", encoding="utf-8")
+    config = load_config(user)
+    assert (config.workers, config.agent_retries) == (2, 0)
+    assert type(config.workers) is int
+
+
+@pytest.mark.parametrize("document, message", [
+    ("backend: {model_name: [1]}\n", "backend.model_name: expected a string, got [1]"),
+    ("backend: {auth_env_var: null}\n", "backend.auth_env_var: expected a string, got None"),
+    ("backend: {base_url: 5}\n", "backend.base_url: expected a string or null, got 5"),
+    ("backend: {replay_dir: [d]}\n",
+     "backend.replay_dir: expected a string or null, got ['d']"),
+])
+def test_backend_string_setting_of_another_type_exits_one_naming_the_key(
+        tmp_path, capsys, replay_dir, pipeline_manifest_path, document, message):
+    assert_config_error(tmp_path, capsys, document, message)
+    assert main(["--config", str(tmp_path / "user.yaml"), "parse", "--manifest",
+                 str(pipeline_manifest_path), "--out", str(tmp_path / "o"),
+                 "--backend-mode", "replay", "--replay-dir", str(replay_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("document, message", [
     ("evaluation: 5\n", "evaluation: expected a mapping, got int"),
     ("evaluation: {weights: [1]}\n", "evaluation.weights: expected a mapping, got list"),
     ("evaluation: {tolerance: yes}\n", "evaluation.tolerance: expected a mapping, got bool"),

@@ -5,6 +5,7 @@ of the recorded stage responses."""
 import copy
 import json
 import random
+import re
 import sys
 import threading
 from pathlib import Path
@@ -125,16 +126,9 @@ def test_fixture_responses_are_schema_valid(stage):
 
 
 def test_check_schema_runs_once_per_stage(monkeypatch):
+    """Each stage's schema is compiled once however many threads make the
+    process's first checks at once."""
     monkeypatch.setattr(agents, "_validators", {})
-    validator_class = jsonschema.validators.validator_for(stage_schema("sph"))
-    checked = []
-    original = validator_class.check_schema.__func__
-
-    def counting(cls, schema, *args, **kwargs):
-        checked.append(schema["$id"])
-        return original(cls, schema, *args, **kwargs)
-
-    monkeypatch.setattr(validator_class, "check_schema", classmethod(counting))
     compiled = []
     compile_schema = agents._compile
 
@@ -163,8 +157,13 @@ def test_check_schema_runs_once_per_stage(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[]] * (8 * 5 * len(STAGES))
-    assert sorted(checked) == sorted(stage_schema(s)["$id"] for s in STAGES)
     assert sorted(compiled) == sorted(STAGES)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_shipped_schemas_pass_their_metaschema(stage):
+    schema = stage_schema(stage)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 @pytest.mark.parametrize("stage", ("sph", "lsr"))
@@ -180,8 +179,28 @@ def test_label_enums_are_the_data_model_sets(stage):
 def test_broken_schema_fails_loudly(monkeypatch):
     monkeypatch.setattr(agents, "_validators", {})
     monkeypatch.setattr(agents, "stage_schema", lambda stage: {"type": 5})
-    with pytest.raises(jsonschema.SchemaError):
+    with pytest.raises(SpokenUdError,
+                       match="^sph schema: unsupported keyword 'type': 5$"):
         agents._schema_violations("sph", {})
+
+
+MALFORMED = [
+    ("type", "strng"), ("type", []), ("type", [1]), ("type", [[]]), ("enum", "a"),
+    ("required", "a"), ("properties", []), ("patternProperties", 1), ("pattern", 1),
+    ("minItems", True), ("minLength", 1.5), ("minimum", "0"), ("maximum", None),
+    ("items", []), ("$defs", 1), ("title", 1), ("$ref", 1),
+]
+
+
+@pytest.mark.parametrize("keyword, value", MALFORMED,
+                         ids=[f"{k}={v!r}" for k, v in MALFORMED])
+def test_a_value_the_metaschema_refuses_fails_loudly_naming_its_keyword(keyword, value):
+    schema = {"type": "object", keyword: value}
+    with pytest.raises(jsonschema.SchemaError):
+        jsonschema.Draft202012Validator.check_schema(schema)
+    message = f"core schema: unsupported keyword {keyword!r}: {value!r}"
+    with pytest.raises(SpokenUdError, match=f"^{re.escape(message)}$"):
+        agents._compile("core", schema)
 
 
 def test_retry_prompt_wording_is_pinned(pipeline_manifest_path):
@@ -237,13 +256,27 @@ def slots(container):
         yield from slots(value)
 
 
+def validate_violations(schema: dict, obj) -> list[str]:
+    """reference_violations for any ``schema`` already known to pass its
+    metaschema: ``jsonschema.validate`` raises ``best_match`` of the
+    validator's errors, and skipping its metaschema check keeps this fast."""
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(obj))
+    if error is None:
+        return []
+    path = "/".join(str(p) for p in error.absolute_path)
+    return [f"schema: {error.message} at {path or '<root>'}"]
+
+
 def verdicts(stage: str, obj) -> tuple[bool, bool]:
     """The compiled predicate's verdict, asserted equal to the interpreter it
-    replaced, and jsonschema's."""
-    validator, conforms = agents._validator(stage)
+    replaced, and jsonschema's; the violation line is asserted equal to the
+    one ``jsonschema.validate`` gives."""
+    schema, conforms = agents._validator(stage)
     verdict = conforms(obj)
-    assert verdict == reference_conforms(validator.schema, obj), obj
-    return verdict, validator.is_valid(obj)
+    assert verdict == reference_conforms(schema, obj), obj
+    assert agents._schema_violations(stage, obj) == validate_violations(schema, obj), obj
+    return verdict, jsonschema.Draft202012Validator(schema).is_valid(obj)
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -332,19 +365,42 @@ SYNTHETIC_SCHEMAS = [
     {"type": ["string", "array"], "pattern": "^a", "minLength": 2, "minItems": 2},
     {"type": "object", "additionalProperties": False, "required": ["a"],
      "properties": {"a": {"type": "string"}}, "patternProperties": {"^a": {"minLength": 2}}},
+    # Each wording of additionalProperties, minItems and minLength.
+    {"additionalProperties": False, "properties": {"a": {}}},
+    {"additionalProperties": False, "patternProperties": {"^a": {}, "b$": {}}},
+    {"items": {"$ref": "#/$defs/s"}, "minItems": 1, "$defs": {"s": {"minLength": 1}}},
+    {"required": ["b", "a"], "properties": {"b": {"enum": ["x"]}}, "minLength": 3},
+    # At one path, an error whose schema's type the value fails (or that has
+    # no type) beats one whose type it matches, and of equals the first wins.
+    {"properties": {"a": {"type": "integer", "minimum": 5, "$ref": "#/$defs/s"}},
+     "$defs": {"s": {"type": "string"}}},
+    {"properties": {"a": {"minimum": 5, "$ref": "#/$defs/s"}}, "$defs": {"s": {"type": "string"}}},
+    {"properties": {"a": {"$ref": "#/$defs/s", "minimum": 5}}, "$defs": {"s": {"type": "string"}}},
+    # A shallower error beats a deeper one, and of two at one depth, the one
+    # earlier by path.
+    {"type": "object", "properties": {"b": {"type": "string"}, "a": {"items": {"maximum": 0}}},
+     "required": ["c"]},
+    {"properties": {"b": {"type": "string"}, "a": {"type": "string"}}},
 ]
 SYNTHETIC_VALUES = (True, False, 0, 1, 1.0, 2, 5.0, 7.5, NAN, "a", "ab", "b", None,
-                    [], [1], [1, 2], {}, {"a": "x"}, {"a": "xy"}, {"a": "xy", "ab": 1},
-                    {"a": "xy", "b": 1})
+                    [], [1], [1, 2], [""], ["a", 1], {}, {"a": "x"}, {"a": "xy"},
+                    {"a": "xy", "ab": 1}, {"a": "xy", "b": 1}, {"a": 1}, {"b": 1, "c": 2},
+                    {"a": 1, "b": 2}, {"ab": 1, "c": 2, "d": 3}, {"a": [1, 2], "b": 1},
+                    {"a": [1, -1], "c": 1}, {"b": "x", "a": "y", "c": 1})
 
 
 @pytest.mark.parametrize("schema", SYNTHETIC_SCHEMAS, ids=range(len(SYNTHETIC_SCHEMAS)))
-def test_keyword_combinations_the_stage_schemas_lack(schema):
+def test_keyword_combinations_the_stage_schemas_lack(monkeypatch, schema):
     conforms = agents._compile("test", schema)
     validator = jsonschema.Draft202012Validator(schema)
+    validator.check_schema(schema)
+    monkeypatch.setattr(agents, "_validators", {})
+    monkeypatch.setattr(agents, "stage_schema", lambda stage: schema)
     for value in SYNTHETIC_VALUES:
         assert conforms(value) == reference_conforms(schema, value) == \
             validator.is_valid(value), value
+        assert agents._schema_violations("test", value) == \
+            validate_violations(schema, value), value
 
 
 def test_stage_schema_returns_a_fresh_dict_each_call():
