@@ -155,17 +155,19 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
         out_sentences.append(replace(
             sentence, category=categories.get(sentence.sentence_id)))
 
+    # Every text is built before any file is written, so a refusal leaves none.
+    texts = {"parses.conllu": emit_conllu(out_sentences),
+             "parses.sheet.tsv": emit_sheet(out_sentences),
+             "failures.jsonl": _lines([json.dumps(
+                 {key: getattr(f, key) for key in
+                  ("sentence_id", "stage", "error", "attempts", "violations")},
+                 ensure_ascii=False, sort_keys=True) for f in failures]),
+             "adjudication.log": _lines([f"{parse.sentence_id}\t{line}" for parse in parses
+                                         for line in parse.adjudication_log])}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "parses.conllu").write_text(emit_conllu(out_sentences), encoding="utf-8")
-    (out / "parses.sheet.tsv").write_text(emit_sheet(out_sentences), encoding="utf-8")
-    _write_lines(out / "failures.jsonl", [json.dumps(
-        {key: getattr(f, key) for key in
-         ("sentence_id", "stage", "error", "attempts", "violations")},
-        ensure_ascii=False, sort_keys=True) for f in failures])
-    _write_lines(out / "adjudication.log", [
-        f"{parse.sentence_id}\t{line}"
-        for parse in parses for line in parse.adjudication_log])
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
 
     print(f"parsed {len(parses)} sentences, {len(failures)} failures")
     for failure in failures:
@@ -206,8 +208,8 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def evaluate_pair(gold: Sentence, system: Sentence, config: ToolkitConfig):
@@ -280,8 +282,8 @@ def cmd_eval(args, config: ToolkitConfig) -> int:
         flex_results.append(FlexResult(gold.sentence_id, gold.category,
                                        flex.components, flex.final))
 
-    _write_lines(out / "per_sentence.jsonl", [
-        json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records])
+    (out / "per_sentence.jsonl").write_text(_lines([json.dumps(
+        r, ensure_ascii=False, sort_keys=True) for r in records]), encoding="utf-8")
     _write_tables(out, args.metric, standard_results, flex_results)
     print(f"evaluated {len(records)} sentences "
           f"(metric={args.metric}, tables in {out})")

@@ -48,6 +48,11 @@ LANG_TAGS = ("eng", "spa", "mixed", "unknown")
 SPOKEN_LABELS = ("reparandum", "dep", "discourse", "filler", "none")
 
 
+def breaks_cell(text: str) -> bool:
+    """Whether ``text`` holds a tab or line break, so cannot be one CoNLL-U or sheet cell."""
+    return "\t" in text or "\n" in text or "\r" in text
+
+
 def canonical_deprel(label: str) -> str:
     """Normalize input aliases (``rep`` -> ``reparandum``)."""
     return DEPREL_ALIASES.get(label, label)

@@ -23,6 +23,7 @@ from .core import (
     Sentence,
     SpokenUdError,
     Token,
+    breaks_cell,
     mwe_component_ids,
 )
 
@@ -204,9 +205,12 @@ def parse_conllu(text: str) -> list[Sentence]:
 
 
 def emit_conllu(sentences: Iterable[Sentence]) -> str:
+    """CoNLL-U text; what parse_conllu could not read back is refused."""
     out: list[str] = []
     for sentence in sentences:
         if sentence.sentence_id:
+            if breaks_cell(sentence.sentence_id):
+                raise SpokenUdError(f"tab or line break inside sent_id {sentence.sentence_id!r}")
             out.append(f"# sent_id = {sentence.sentence_id}")
         if sentence.category is not None:
             out.append(f"# category = {sentence.category.value}")
@@ -228,8 +232,6 @@ def emit_conllu(sentences: Iterable[Sentence]) -> str:
 
 
 def _emit_token_line(token: Token) -> str:
-    if "\t" in token.form:
-        raise SpokenUdError(f"tab inside FORM of token {token.id}")
     if isinstance(token.head, RootSentinel):
         head = "0"
     elif token.head is None:
@@ -248,7 +250,10 @@ def _emit_token_line(token: Token) -> str:
         "_",
         _token_misc(token),
     )
-    return "\t".join(columns)
+    line = "\t".join(columns)
+    if line.count("\t") != CONLLU_COLUMNS - 1 or "\n" in line or "\r" in line:
+        raise SpokenUdError(f"tab or line break inside a cell of token {token.id}: {line!r}")
+    return line
 
 
 # --- sheet table ------------------------------------------------------------
@@ -338,10 +343,11 @@ def format_sheet_row(row: SheetRow) -> str:
         format_score(row.penalty),
         row.adjudication_note,
     )
-    for cell in cells:
-        if "\t" in cell or "\n" in cell:
-            raise SpokenUdError(f"tab or newline inside sheet cell: {cell!r}")
-    return "\t".join(cells)
+    line = "\t".join(cells)
+    if line.count("\t") != len(cells) - 1 or "\n" in line or "\r" in line:
+        cell = next(cell for cell in cells if breaks_cell(cell))
+        raise SpokenUdError(f"tab or line break inside sheet cell: {cell!r}")
+    return line
 
 
 def parse_sheet(text: str) -> list[Sentence]:
@@ -505,6 +511,8 @@ def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
     sid = obj.get("sentence_id")
     if not isinstance(sid, str) or not sid:
         raise SpokenUdError(f"sentence_id must be a non-empty string, found {sid!r}")
+    if breaks_cell(sid):
+        raise SpokenUdError(f"sentence_id must not hold a tab or line break, found {sid!r}")
     if sid in seen:
         raise DuplicateSentenceId(sid)
     seen.add(sid)
@@ -515,6 +523,10 @@ def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
             isinstance(t, dict) and isinstance(t.get("form"), str)
             for t in obj["tokens"]):
         raise SpokenUdError("tokens must be objects with a string 'form'")
+    for form in (t["form"] for t in obj["tokens"]):
+        if not form or breaks_cell(form):
+            raise SpokenUdError(f"token form must be non-empty without a tab or line "
+                                f"break, found {form!r}")
     category = Category.from_label(obj["category"])
     tokens = tuple((t["form"], t.get("lang_tag", "unknown")) for t in obj["tokens"])
     for _, lang in tokens:

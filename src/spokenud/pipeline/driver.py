@@ -26,7 +26,7 @@ def parse_sentence(sentence: Sentence, backend, config) -> FinalParse | Sentence
         lsr = run_agent("lsr", sph, backend, config, input_sentence=sentence)
         stage = "core"
         core = run_agent("core", lsr, backend, config, input_sentence=sentence)
-        return finalize(sph, lsr, core, config)
+        return finalize(sph, lsr, core)
     except (SchemaViolation, BackendError) as err:
         return SentenceFailure(
             sentence_id=sentence.sentence_id,

@@ -25,6 +25,7 @@ from ..core import (
     UPOS_TAGS,
     UD_RELATIONS,
     base_deprel,
+    breaks_cell,
     canonical_deprel,
     dotted_span,
     mwe_components,
@@ -83,7 +84,30 @@ class SphOutput:
     enforcements: tuple[str, ...] = ()
 
     def to_payload(self) -> dict:
-        return _envelope_payload(self)
+        return {
+            "sentence_id": self.sentence_id,
+            "tokens": [
+                {
+                    "proposed_ID": str(t.proposed_id),
+                    "orig_token_index": t.orig_token_index,
+                    "split_token": t.split_token,
+                    "lang_tag": t.lang_tag,
+                    "spoken_label": t.spoken_label,
+                    "spoken_anchor": (None if t.spoken_anchor is None
+                                      else str(t.spoken_anchor)),
+                    "lemma": t.lemma,
+                    "mwe": t.mwe,
+                    "sph_confidence": t.sph_confidence,
+                    "lsr_confidence": t.lsr_confidence,
+                    "lsr_notes": t.lsr_notes,
+                }
+                for t in self.tokens
+            ],
+            "proposed_id_map": {str(k): [str(i) for i in v]
+                                for k, v in sorted(self.id_map.items())},
+            "summary_notes": self.summary,
+            "confidence": self.confidence,
+        }
 
 
 @dataclass(frozen=True)
@@ -128,26 +152,6 @@ class CoreOutput:
     tokens: tuple[CoreToken, ...]
     summary: str = ""
 
-    def to_payload(self) -> dict:
-        return {
-            "sentence_id": self.sentence_id,
-            "annotated_tokens": [
-                {
-                    "proposed_ID": str(t.proposed_id),
-                    "FORM": t.form,
-                    "LEMMA": t.lemma,
-                    "UPOS": t.upos,
-                    "HEAD_ID": t.head_id,
-                    "HEAD_FORM": t.head_form,
-                    "DEPREL": t.deprel,
-                    "core_confidence": t.confidence,
-                    "core_notes": t.notes,
-                }
-                for t in self.tokens
-            ],
-            "summary_notes": self.summary,
-        }
-
 
 @dataclass(frozen=True)
 class FinalParse:
@@ -164,32 +168,6 @@ class SentenceFailure:
     error: str
     attempts: int | None = None  # from a SchemaViolation; None for a BackendError
     violations: list = field(default_factory=list)
-
-
-def _envelope_payload(envelope: SphOutput) -> dict:
-    return {
-        "sentence_id": envelope.sentence_id,
-        "tokens": [
-            {
-                "proposed_ID": str(t.proposed_id),
-                "orig_token_index": t.orig_token_index,
-                "split_token": t.split_token,
-                "lang_tag": t.lang_tag,
-                "spoken_label": t.spoken_label,
-                "spoken_anchor": None if t.spoken_anchor is None else str(t.spoken_anchor),
-                "lemma": t.lemma,
-                "mwe": t.mwe,
-                "sph_confidence": t.sph_confidence,
-                "lsr_confidence": t.lsr_confidence,
-                "lsr_notes": t.lsr_notes,
-            }
-            for t in envelope.tokens
-        ],
-        "proposed_id_map": {str(k): [str(i) for i in v]
-                            for k, v in sorted(envelope.id_map.items())},
-        "summary_notes": envelope.summary,
-        "confidence": envelope.confidence,
-    }
 
 
 def input_payload(sentence: Sentence) -> dict:
@@ -314,6 +292,11 @@ def build_id_map(tokens: Iterable[PipelineToken]) -> dict:
 
 # --- semantic validation ----------------------------------------------------------
 
+def _check_cell(name: str, node: NodeId, text: str | None, violations: list) -> None:
+    if text and breaks_cell(text):
+        violations.append(f"{name} of {node} must not hold a tab or line break: {text!r}")
+
+
 def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:
     """The checks every stage-token envelope, SPH's and LSR's, must pass."""
     violations: list[str] = []
@@ -339,6 +322,7 @@ def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:
     present = set(ids)
     position = {t.proposed_id: i for i, t in enumerate(tokens)}
     for token in tokens:
+        _check_cell("split_token", token.proposed_id, token.split_token, violations)
         if token.proposed_id.is_dotted:
             if token.proposed_id.minor != 1:
                 violations.append(
@@ -419,6 +403,7 @@ def validate_lsr(envelope: LsrOutput, sph: SphOutput,
                     f"was dropped")
 
     for token in envelope.tokens:
+        _check_cell("lemma", token.proposed_id, token.lemma, violations)
         if token.lemma is not None and token.lemma != token.lemma.lower():
             violations.append(
                 f"lemma of {token.proposed_id} must be lowercase: {token.lemma!r}")
@@ -452,6 +437,8 @@ def validate_core(envelope: CoreOutput, lsr: LsrOutput,
             f"exactly one token must have HEAD_ID \"0\", found {len(roots)} "
             f"({[str(t.proposed_id) for t in roots]})")
     for token in envelope.tokens:
+        _check_cell("LEMMA", token.proposed_id, token.lemma, violations)
+        _check_cell("DEPREL", token.proposed_id, token.deprel, violations)
         if token.proposed_id in components:
             if token.upos or token.head_id or token.deprel:
                 violations.append(

@@ -15,6 +15,7 @@ penalty is 0.25 per repair, capped at 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core import (
@@ -89,8 +90,7 @@ def _spoken_rule(label: str | None):
     return None, None, None
 
 
-def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
-             config=None) -> FinalParse:
+def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput) -> FinalParse:
     """Merge the three stage envelopes into a validated final parse."""
     if not (sph.sentence_id == lsr.sentence_id == core.sentence_id):
         raise IrreconcilableEnvelopes(
@@ -99,13 +99,13 @@ def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
     log: list[str] = list(lsr.enforcements)
 
     rows = _build_rows(sph, lsr, core, log)
-    _strip_component_annotations(rows, log)
     dotted_of = mwe_components((row.id, row.split_token) for row in rows)
-    pending = _resolve_heads(rows, dotted_of, log)
-    _enforce_spoken_labels(rows, pending, dotted_of, log)
-    root = enforce_single_root_rows(rows, pending, log)
-    _attach_pending(rows, pending, root)
-    _enforce_root_attachments(rows, root, dotted_of, log)
+    present = {row.id for row in rows}
+    _strip_component_annotations(rows, dotted_of, log)
+    _resolve_heads(rows, present, dotted_of, log)
+    _enforce_spoken_labels(rows, present, dotted_of, log)
+    root = enforce_single_root_rows(rows, log)
+    _enforce_root_attachments(rows, root, present, dotted_of, log)
     repair_cycles_rows(rows, root, log)
 
     rows.sort(key=lambda r: r.id._key())
@@ -165,17 +165,16 @@ def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
     for node in sorted(set(core_by_id) - seen, key=lambda n: n._key()):
         log.append(f"merge[unknown-id]: ignored Core row {node} absent from "
                    f"the resolved token list")
-    components = mwe_components((t.proposed_id, t.split_token)
-                                for t in lsr.tokens)
-    for row in rows:
-        row.component = row.id in components
     return rows
 
 
-def _strip_component_annotations(rows: list[_Row], log: list) -> None:
+def _strip_component_annotations(rows: list[_Row], dotted_of: dict,
+                                 log: list) -> None:
+    """Mark MWE component rows; they carry no annotations and no head."""
     for row in rows:
-        if not row.component:
+        if row.id not in dotted_of:
             continue
+        row.component = True
         if row.upos or row.deprel or row.head:
             _repair(row, log,
                     "annotations stripped from MWE component row",
@@ -183,15 +182,22 @@ def _strip_component_annotations(rows: list[_Row], log: list) -> None:
                     f"row {row.id}")
             row.upos = ""
             row.deprel = ""
-            row.head = ""
+        row.head = None
 
 
-def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
-    """Turn textual head references into ROOT/NodeId/pending, repairing
-    invalid ones by unique HEAD_FORM match, then spoken anchor, else root
-    attachment (collected as pending)."""
-    present = {row.id for row in rows}
-    pending: set[NodeId] = set()
+def _target(row: _Row, node: NodeId | None, present: set,
+            dotted_of: dict) -> NodeId | None:
+    """Where ``row`` may attach naming ``node``: a component means its dotted node."""
+    node = dotted_of.get(node, node)
+    if node not in present or node == row.id:
+        return None
+    return node
+
+
+def _resolve_heads(rows: list[_Row], present: set, dotted_of: dict,
+                   log: list) -> None:
+    """Turn textual heads into ROOT/NodeId, repairing invalid ones by unique
+    HEAD_FORM match, then spoken anchor, else None (attached to the root)."""
     by_form: dict[str, list[_Row]] = {}
     for row in rows:
         if not row.component and row.form:
@@ -199,7 +205,6 @@ def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
 
     for row in rows:
         if row.component:
-            row.head = None
             continue
         raw = row.head
         if raw == "0":
@@ -209,7 +214,6 @@ def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
             if not row.deprel:
                 row.deprel = "dep"
             row.head = None
-            pending.add(row.id)
             _repair(row, log, "attached to root (no head assigned)",
                     f"head]: {row.id} had no head; attached to root")
             continue
@@ -217,24 +221,19 @@ def _resolve_heads(rows: list[_Row], dotted_of: dict, log: list) -> set:
             node = NodeId.parse(str(raw))
         except ValueError:
             node = None
-        if node is not None and node in dotted_of:
-            redirect = dotted_of[node]
-            if redirect != row.id:
-                row.head = redirect
-                _repair(row, log, f"head redirected to dotted node {redirect}",
-                        f"head]: head of {row.id} pointed at MWE component "
-                        f"{node}; redirected to {redirect}")
-                continue
-            node = None
-        if node is not None and node in present and node != row.id:
-            row.head = node
+        target = _target(row, node, present, dotted_of)
+        if target is None:
+            _repair_invalid_head(row, raw, by_form, present, dotted_of, log)
             continue
-        _repair_invalid_head(row, raw, by_form, present, pending, log)
-    return pending
+        row.head = target
+        if target != node:
+            _repair(row, log, f"head redirected to dotted node {target}",
+                    f"head]: head of {row.id} pointed at MWE component "
+                    f"{node}; redirected to {target}")
 
 
 def _repair_invalid_head(row: _Row, raw, by_form: dict, present: set,
-                         pending: set, log: list) -> None:
+                         dotted_of: dict, log: list) -> None:
     matches = [m for m in by_form.get(row.head_form, []) if m.id != row.id]
     if row.head_form and len(matches) == 1:
         row.head = matches[0].id
@@ -242,35 +241,21 @@ def _repair_invalid_head(row: _Row, raw, by_form: dict, present: set,
                 f"head]: invalid head {raw!r} of {row.id} resolved to "
                 f"{matches[0].id} by unique HEAD_FORM {row.head_form!r}")
         return
-    anchor = row.spoken_anchor
-    if anchor is not None and anchor in present and anchor != row.id:
-        row.head = anchor
+    row.head = _target(row, row.spoken_anchor, present, dotted_of)
+    if row.head is not None:
         _repair(row, log, f"head {raw!r} resolved to spoken anchor",
                 f"head]: invalid head {raw!r} of {row.id} resolved to spoken "
-                f"anchor {anchor}")
+                f"anchor {row.head}")
         return
-    row.head = None
-    pending.add(row.id)
     _repair(row, log, f"head {raw!r} unresolvable; attached to root",
             f"head]: invalid head {raw!r} of {row.id} could not be resolved; "
             f"attached to root")
 
 
-def _effective_anchor(row: _Row, present: set, dotted_of: dict) -> NodeId | None:
-    anchor = row.spoken_anchor
-    if anchor is None:
-        return None
-    anchor = dotted_of.get(anchor, anchor)
-    if anchor not in present or anchor == row.id:
-        return None
-    return anchor
-
-
-def _enforce_spoken_labels(rows: list[_Row], pending: set, dotted_of: dict,
+def _enforce_spoken_labels(rows: list[_Row], present: set, dotted_of: dict,
                            log: list) -> None:
     """Label and anchor policy over the merged rows (pre root selection).
     Overrides log but do not count as repairs."""
-    present = {row.id for row in rows}
     for row in rows:
         if row.component:
             continue
@@ -285,26 +270,28 @@ def _enforce_spoken_labels(rows: list[_Row], pending: set, dotted_of: dict,
             row.upos = upos
         if attachment not in ("anchor", "anchor_or_root") or row.head is ROOT:
             continue
-        anchor = _effective_anchor(row, present, dotted_of)
+        anchor = _target(row, row.spoken_anchor, present, dotted_of)
         if anchor is not None and row.head != anchor:
             log.append(f"override[{row.spoken_label}]: HEAD of {row.id} "
                        f"forced to spoken anchor {anchor}")
             row.head = anchor
-            pending.discard(row.id)
 
 
-def _enforce_root_attachments(rows: list[_Row], root: _Row, dotted_of: dict,
-                              log: list) -> None:
-    """Unanchored discourse/filler and dep tokens attach to the root (post
-    root selection); only actual changes log."""
-    present = {row.id for row in rows}
+def _enforce_root_attachments(rows: list[_Row], root: _Row, present: set,
+                              dotted_of: dict, log: list) -> None:
+    """Headless rows, unanchored discourse/filler and dep tokens attach to the
+    root (post root selection); only label-driven changes log."""
     for row in rows:
         if row.component or row is root:
             continue
+        if row.head is None:
+            row.head = root.id
+            if not row.deprel:
+                row.deprel = "dep"
         _, _, attachment = _spoken_rule(row.spoken_label)
         if attachment == "root" or (
                 attachment == "anchor_or_root"
-                and _effective_anchor(row, present, dotted_of) is None):
+                and _target(row, row.spoken_anchor, present, dotted_of) is None):
             if row.head != root.id:
                 log.append(f"override[{row.spoken_label}]: HEAD of {row.id} "
                            f"{row.head} -> root {root.id}")
@@ -324,21 +311,17 @@ def _root_priority_key(row: _Row, dependents: int):
             -_combined_confidence(row), row.id._key())
 
 
-def enforce_single_root_rows(rows: list[_Row], pending: set, log: list) -> _Row:
+def enforce_single_root_rows(rows: list[_Row], log: list) -> _Row:
     """Keep the highest-priority root (verb, then aux, then the noun/pronoun
     with the most dependents, then highest combined confidence, ties to the
     lower id); demote the others, or promote a candidate when no root exists."""
     roots = [row for row in rows if row.head is ROOT]
-    dependents: dict[NodeId, int] = {}
-    for row in rows:
-        if isinstance(row.head, NodeId):
-            dependents[row.head] = dependents.get(row.head, 0) + 1
-
     if len(roots) == 1:
         return roots[0]
+    dependents = Counter(row.head for row in rows if isinstance(row.head, NodeId))
+    keeper = min(roots or [row for row in rows if not row.component],
+                 key=lambda r: _root_priority_key(r, dependents[r.id]))
     if roots:
-        keeper = min(roots, key=lambda r: _root_priority_key(
-            r, dependents.get(r.id, 0)))
         for row in roots:
             if row is keeper:
                 continue
@@ -351,24 +334,12 @@ def enforce_single_root_rows(rows: list[_Row], pending: set, log: list) -> _Row:
                     f"{_combined_confidence(keeper):.3f}), reattached {row.id} "
                     f"({row.upos or '?'}, conf {_combined_confidence(row):.3f})")
         return keeper
-    candidates = [row for row in rows if not row.component]
-    keeper = min(candidates, key=lambda r: _root_priority_key(
-        r, dependents.get(r.id, 0)))
     keeper.head = ROOT
     keeper.deprel = "root"
-    pending.discard(keeper.id)
     _repair(keeper, log, "promoted to root",
             f"root]: no root; promoted {keeper.id} ({keeper.upos or '?'}, "
             f"conf {_combined_confidence(keeper):.3f})")
     return keeper
-
-
-def _attach_pending(rows: list[_Row], pending: set, root: _Row) -> None:
-    for row in rows:
-        if row.id in pending and row is not root:
-            row.head = root.id
-            if not row.deprel:
-                row.deprel = "dep"
 
 
 def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:

@@ -121,6 +121,40 @@ def adversarial_envelopes(rng, sid):
     return sph, lsr, core
 
 
+def pitta_bread_anchor_case():
+    """Token 1 has a dangling Core head and a spoken anchor on component 3 of
+    the dotted node 2.1 pitta_bread, which Core makes the root."""
+    from spokenud.pipeline.edits import make_dotted_mwe
+
+    sph, lsr = sph_lsr("sa", ["eat", "pitta", "bread"], anchors={1: 3})
+    tokens, _ = make_dotted_mwe(lsr.tokens, [NodeId(2), NodeId(3)])
+    id_map = build_id_map(tokens)
+    sph = SphOutput(sentence_id="sa", tokens=tokens, id_map=id_map)
+    lsr = LsrOutput(sentence_id="sa", tokens=tokens, id_map=id_map)
+    core = core_from("sa", [
+        ("1", "VERB", "99", "acl"),
+        ("2", "", "", ""),
+        ("3", "", "", ""),
+        ("2.1", "NOUN", "0", "root"),
+    ], forms=["eat", "", "", "pitta_bread"])
+    return sph, lsr, core
+
+
+def core_payload(core):
+    """The Core stage JSON object a backend would answer with for ``core``."""
+    return {
+        "sentence_id": core.sentence_id,
+        "annotated_tokens": [
+            {"proposed_ID": str(t.proposed_id), "FORM": t.form, "LEMMA": t.lemma,
+             "UPOS": t.upos, "HEAD_ID": t.head_id, "HEAD_FORM": t.head_form,
+             "DEPREL": t.deprel, "core_confidence": t.confidence,
+             "core_notes": t.notes}
+            for t in core.tokens
+        ],
+        "summary_notes": core.summary,
+    }
+
+
 def core_from(sid, annotations, forms=None, confidences=None):
     """annotations: list of (id_text, upos, head_id_text, deprel)."""
     confidences = confidences or {}

@@ -22,7 +22,7 @@ from spokenud.pipeline import (
 from spokenud.pipeline.envelopes import build_id_map
 from spokenud.pipeline.prompts import STAGES
 
-from pipeline_helpers import core_from, input_sentence, sheet_rows, sph_lsr
+from pipeline_helpers import core_from, core_payload, input_sentence, sheet_rows, sph_lsr
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def canned(sid, forms, labels=None, anchors=None, annotations=None):
     return {
         "sph": json.dumps(sph.to_payload()),
         "lsr": json.dumps(lsr.to_payload()),
-        "core": json.dumps(core.to_payload()),
+        "core": json.dumps(core_payload(core)),
     }
 
 
@@ -123,6 +123,27 @@ def test_core_with_two_roots_triggers_retry(config):
     retry_prompts = [u for s, u in seen_prompts if s == "core"][1]
     assert "exactly one token must have HEAD_ID" in retry_prompts
     assert "repair_required" in retry_prompts
+
+
+@pytest.mark.parametrize("stage, key, value, violation", [
+    ("sph", "split_token", "s\ti", "split_token of 3 must not hold a tab or line break: 's\\ti'"),
+    ("lsr", "lemma", "s\ni", "lemma of 3 must not hold a tab or line break: 's\\ni'"),
+    ("core", "LEMMA", "s\ri", "LEMMA of 3 must not hold a tab or line break: 's\\ri'"),
+    ("core", "DEPREL", "discourse:x\ty",
+     "DEPREL of 3 must not hold a tab or line break: 'discourse:x\\ty'"),
+])
+def test_a_cell_with_a_tab_or_line_break_is_a_violation(config, stage, key, value,
+                                                         violation):
+    responses = three_word_responses()
+    obj = json.loads(responses[stage])
+    obj["annotated_tokens" if stage == "core" else "tokens"][2][key] = value
+    responses[stage] = json.dumps(obj)
+    backend, calls = scripted_backend(responses)
+    result = parse_sentence(input_sentence("t1", ["yo", "creo", "si"]), backend, config)
+    assert isinstance(result, SentenceFailure)
+    assert (result.stage, result.attempts) == (stage.upper(), config.agent_retries + 1)
+    assert violation in result.violations
+    assert calls["n"][stage] == config.agent_retries + 1
 
 
 def test_lsr_removing_sph_split_is_rejected(config):

@@ -423,6 +423,34 @@ def test_parse_corrupt_replay_record_fails_only_its_sentence(
     assert [s.sentence_id for s in sentences] == ["del1", "fig2"]
 
 
+@pytest.mark.parametrize("key, value", [
+    ("LEMMA", "ven\tir"), ("LEMMA", "ven\nir"), ("DEPREL", "nsubj:x\ty")])
+def test_parse_core_cell_with_a_tab_or_line_break_fails_only_its_sentence(
+        tmp_path, replay_dir, manifest_path, capsys, key, value):
+    replay = tmp_path / "replay"
+    shutil.copytree(replay_dir, replay)
+    record = json.loads((replay / "del1.core.json").read_text("utf-8"))
+    response = json.loads(record["raw_response"])
+    response["annotated_tokens"][0][key] = value
+    record["raw_response"] = json.dumps(response)
+    (replay / "del1.core.json").write_text(json.dumps(record), "utf-8")
+    out = tmp_path / "o"
+    assert run(["parse", "--manifest", manifest_path, "--out", out,
+                "--backend-mode", "replay", "--replay-dir", replay]) == 1
+    assert "parsed 2 sentences, 1 failures" in capsys.readouterr().out
+    failure, = [json.loads(line) for line in
+                (out / "failures.jsonl").read_text("utf-8").splitlines()]
+    assert (failure["sentence_id"], failure["stage"]) == ("del1", "CORE")
+    # The refused answer was retried; no retry was recorded.
+    assert failure["error"].startswith("no recorded response for key 'del1.core.retry1'")
+    assert [s.sentence_id for s in parse_conllu(
+        (out / "parses.conllu").read_text("utf-8"))] == ["disc1", "fig2"]
+    assert [s.sentence_id for s in parse_sheet(
+        (out / "parses.sheet.tsv").read_text("utf-8"))] == ["disc1", "fig2"]
+    log = (out / "adjudication.log").read_text("utf-8")
+    assert not any(line.startswith("del1\t") for line in log.splitlines())
+
+
 def test_parse_replay_key_outside_replay_dir_fails_the_sentence(
         tmp_path, replay_dir, manifest_path, capsys):
     path = _manifest_with_ids(tmp_path, manifest_path,

@@ -16,7 +16,7 @@ from importlib import resources
 import yaml
 
 from spokenud.cli import main
-from spokenud.ioformats import emit_conllu, emit_sheet
+from spokenud.ioformats import emit_conllu, emit_sheet, parse_conllu, parse_sheet
 
 from gen import random_sentence
 
@@ -155,11 +155,17 @@ def exit_code(argv) -> int:
         return err.code
 
 
+# Parse-only JSON values: texts no CoNLL-U or sheet cell can hold, so they are
+# refused where they enter (the manifest, a stage answer), never at emit.
+PARSE_NOISE = JSON_NOISE + ["a\tb", "a\nb", "a\rb", "\t", "\n", "nsubj:x\ty", "ven\tir"]
+
+
 def mutate_json_line(rng, lines, i):
     """Mutate line ``i`` of a JSON-lines text in place."""
     kind = rng.random()
     if kind < 0.6:
-        lines[i] = json.dumps(mutate_record(rng, json.loads(lines[i])), ensure_ascii=False)
+        lines[i] = json.dumps(mutate_record(rng, json.loads(lines[i]), PARSE_NOISE),
+                              ensure_ascii=False)
     elif kind < 0.7:
         lines[i] = lines[i][:rng.randrange(len(lines[i]))]
     elif kind < 0.8:
@@ -176,7 +182,8 @@ def mutate_replay_record(rng, path):
     kind = rng.random()
     if kind < 0.5:
         record["raw_response"] = json.dumps(
-            mutate_record(rng, json.loads(record["raw_response"])), ensure_ascii=False)
+            mutate_record(rng, json.loads(record["raw_response"]), PARSE_NOISE),
+            ensure_ascii=False)
         path.write_text(json.dumps(record, ensure_ascii=False), encoding="utf-8")
     elif kind < 0.75:
         path.write_text(json.dumps(mutate_record(rng, record)), encoding="utf-8")
@@ -188,6 +195,7 @@ def mutate_replay_record(rng, path):
 
 
 PARSE_CASES = 60
+OUTPUTS = ("parses.conllu", "parses.sheet.tsv", "failures.jsonl", "adjudication.log")
 
 
 def test_replay_parse_exits_with_a_documented_code_on_mutated_inputs(
@@ -214,6 +222,14 @@ def test_replay_parse_exits_with_a_documented_code_on_mutated_inputs(
             err.add_note(f"case {case}: parse over\n" + "\n".join(mutated))
             raise
         assert codes[-1] in (0, 1, 2, 3), (case, mutated)
+        # A run writes all four files or none, and its readers read them back.
+        out = tmp_path / f"o{case}"
+        written = [name for name in OUTPUTS if (out / name).exists()]
+        assert written in ([], list(OUTPUTS)), (case, written)
+        assert written or codes[-1] != 0, case
+        if written:
+            parse_conllu((out / "parses.conllu").read_text("utf-8"))
+            parse_sheet((out / "parses.sheet.tsv").read_text("utf-8"))
     capsys.readouterr()
     # Most mutations are refused; some must still parse.
     assert {0, 1} <= set(codes), codes

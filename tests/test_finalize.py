@@ -11,7 +11,7 @@ from spokenud.pipeline import (
 )
 from spokenud.pipeline.envelopes import CoreToken
 
-from pipeline_helpers import core_from, sheet_rows, sph_lsr
+from pipeline_helpers import core_from, pitta_bread_anchor_case, sheet_rows, sph_lsr
 
 
 def test_conformant_envelopes_no_repairs():
@@ -211,6 +211,15 @@ def test_head_pointing_into_mwe_span_redirected():
     parse = finalize(sph, lsr, core)
     the_row = next(row for row in sheet_rows(parse) if row.split_token == "the")
     assert the_row.head_id == "2.1"
+    assert validate_tree(induced_sentence(parse)).ok
+
+
+def test_spoken_anchor_on_mwe_component_means_its_dotted_node():
+    parse = finalize(*pitta_bread_anchor_case())
+    eat = next(t for t in parse.tokens if t.form == "eat")
+    assert eat.head == NodeId.parse("2.1")
+    assert "repair[head]: invalid head '99' of 1 resolved to spoken anchor 2.1" \
+        in parse.adjudication_log
     assert validate_tree(induced_sentence(parse)).ok
 
 

@@ -85,6 +85,21 @@ def test_emit_dotted_node_id_column():
     assert ids == ["6", "6.1", "7"]
 
 
+@pytest.mark.parametrize("sid, token", [
+    ("w", Token(id=NodeId(1), form="a", lemma="a\tb", head=ROOT, deprel="root")),
+    ("w", Token(id=NodeId(1), form="a\tb", head=ROOT, deprel="root")),
+    ("w", Token(id=NodeId(1), form="a", head=ROOT, deprel="nsubj:x\ny")),
+    ("w", Token(id=NodeId(1), form="a", upos="X\rY", head=ROOT, deprel="root")),
+    ("a\nb", Token(id=NodeId(1), form="a", head=ROOT, deprel="root")),
+    ("a\tb", Token(id=NodeId(1), form="a", head=ROOT, deprel="root")),
+], ids=["lemma-tab", "form-tab", "deprel-newline", "upos-return", "sent-id-newline",
+        "sent-id-tab"])
+def test_emit_conllu_refuses_what_its_reader_could_not_read_back(sid, token):
+    from spokenud.core import Sentence
+    with pytest.raises(SpokenUdError, match="tab or line break inside"):
+        emit_conllu([Sentence(sentence_id=sid, tokens=(token,))])
+
+
 def test_conllu_roundtrip_500_random_sentences():
     rng = random.Random(20240817)
     for i in range(500):
@@ -215,6 +230,31 @@ def test_load_manifest_rejects_empty_or_non_string_id(tmp_path, sids, line_no, b
         load_manifest(path)
     assert str(err.value) == (f"{path}: line {line_no}: sentence_id must be "
                               f"a non-empty string, found {bad!r}")
+
+
+@pytest.mark.parametrize("sid", ["a\tb", "a\nb", "a\rb"])
+def test_load_manifest_rejects_an_id_with_a_tab_or_line_break(tmp_path, sid):
+    path = tmp_path / "m.jsonl"
+    path.write_text(manifest_line("a") + "\n" + manifest_line(sid) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (f"{path}: line 2: sentence_id must not hold a tab "
+                              f"or line break, found {sid!r}")
+
+
+@pytest.mark.parametrize("form", ["", "a\tb", "a\nb", "a\rb"])
+def test_load_manifest_rejects_an_empty_form_or_one_with_a_tab_or_line_break(
+        tmp_path, form):
+    obj = json.loads(manifest_line("b"))
+    obj["tokens"][1]["form"] = form
+    path = tmp_path / "m.jsonl"
+    path.write_text(manifest_line("a") + "\n" + json.dumps(obj) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (f"{path}: line 2: token form must be non-empty "
+                              f"without a tab or line break, found {form!r}")
 
 
 def test_load_manifest_rejects_missing_id(tmp_path):

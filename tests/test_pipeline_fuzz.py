@@ -1,10 +1,11 @@
 import random
 import re
 
-from spokenud.core import validate_tree
+from spokenud.core import mwe_component_ids, validate_tree
 from spokenud.pipeline import finalize, induced_sentence
 
-from pipeline_helpers import adversarial_envelopes, core_from, sheet_rows, sph_lsr
+from pipeline_helpers import (adversarial_envelopes, core_from, pitta_bread_anchor_case,
+                              sheet_rows, sph_lsr)
 
 
 def test_fuzz_smoke_500_cases():
@@ -22,6 +23,16 @@ def test_fuzz_smoke_500_cases():
         for row in sheet_rows(parse):
             if row.penalty > 0:
                 assert row.adjudication_note, f"case {i}: repaired row lacks note"
+
+
+def test_no_final_head_is_an_mwe_component_row():
+    rng = random.Random(8)
+    cases = [adversarial_envelopes(rng, f"fz{i}") for i in range(500)]
+    for case in cases + [pitta_bread_anchor_case()]:
+        sentence = induced_sentence(finalize(*case))
+        components = mwe_component_ids(sentence)
+        heads = {t.head for t in sentence.tokens}
+        assert not heads & components, f"{sentence.sentence_id}: {heads & components}"
 
 
 def test_authority_core_values_survive_merge_unless_overridden():
