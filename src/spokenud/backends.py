@@ -8,6 +8,7 @@ instead of reusing a stale record. Credentials come from the environment only.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -79,6 +80,19 @@ def _prefix_digest(model: str, system_prompt: str):
         "\r\n", "\n"), "##USER##", "")).encode("utf-8"))
 
 
+@contextlib.contextmanager
+def replaced_atomically(path: Path):
+    """A UTF-8 temporary file to write, renamed to ``path`` only on success."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class ReplayStore:
     """Directory of recorded raw responses, one JSON file per request key."""
 
@@ -93,21 +107,15 @@ class ReplayStore:
         return self.directory / f"{key}.json"
 
     def save(self, key: str, fingerprint: str, raw_response: str) -> Path:
-        """Write the record to a temporary file, then rename it into place,
-        so an interrupted run never leaves a truncated record."""
+        """Write the record; an interrupted run never leaves a truncated one."""
         path = self.path_for(key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(json.dumps({
+        with replaced_atomically(path) as handle:
+            handle.write(json.dumps({
                 "request_hash": fingerprint,
                 "raw_response": raw_response,
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            }, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+            }, ensure_ascii=False, indent=2) + "\n")
         return path
 
     def load(self, key: str, fingerprint: str) -> str:

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .backends import BackendError, make_backend
+from .backends import BackendError, make_backend, replaced_atomically
 from .config import ToolkitConfig, load_config
 from .core import Category, Sentence, SpokenUdError, validate_tree
 from .flexud import (
@@ -183,7 +183,7 @@ def _pair_sentences(gold_path: str, system_path: str):
     system = _sentences_by_id(parse_conllu(_read(system_path)), system_path)
     if set(gold) != set(system):
         raise SentenceIdMismatch(set(gold) - set(system), set(system) - set(gold))
-    return [(gold[sid], system[sid]) for sid in sorted(gold)]
+    return gold, system
 
 
 def _sentences_by_id(sentences: list[Sentence], path: str) -> dict[str, Sentence]:
@@ -266,27 +266,23 @@ def _report_results(record: dict) -> tuple[SentenceResult, FlexResult]:
 
 
 def cmd_eval(args, config: ToolkitConfig) -> int:
-    pairs = _pair_sentences(args.gold, args.system)
+    gold, system = _pair_sentences(args.gold, args.system)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    records = []
-    standard_results = []
-    flex_results = []
-    for gold, system in pairs:
-        standard, flex = evaluate_pair(gold, system, config)
-        records.append(sentence_record(gold.sentence_id, gold.category,
-                                       standard, flex))
-        standard_results.append(SentenceResult(gold.sentence_id, gold.category,
-                                               standard))
-        flex_results.append(FlexResult(gold.sentence_id, gold.category,
-                                       flex.components, flex.final))
-
-    (out / "per_sentence.jsonl").write_text(_lines([json.dumps(
-        r, ensure_ascii=False, sort_keys=True) for r in records]), encoding="utf-8")
+    # One pair alive at a time: popped, scored, its record written at once.
+    standard_results, flex_results = [], []
+    with replaced_atomically(out / "per_sentence.jsonl") as handle:
+        for sid in sorted(gold):
+            pair = gold.pop(sid), system.pop(sid)
+            category = pair[0].category
+            standard, flex = evaluate_pair(*pair, config)
+            handle.write(json.dumps(sentence_record(sid, category, standard, flex),
+                                    ensure_ascii=False, sort_keys=True) + "\n")
+            standard_results.append(SentenceResult(sid, category, standard))
+            flex_results.append(FlexResult(sid, category, flex.components, flex.final))
     _write_tables(out, args.metric, standard_results, flex_results)
-    print(f"evaluated {len(records)} sentences "
-          f"(metric={args.metric}, tables in {out})")
+    print(f"evaluated {len(flex_results)} sentences (metric={args.metric}, tables in {out})")
     return 0
 
 
@@ -325,16 +321,19 @@ def cmd_validate(args) -> int:
 def cmd_report(args) -> int:
     standard_results = []
     flex_results = []
-    for number, line in enumerate(_read(args.results).splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            standard, flex = _report_results(json.loads(line))
-        except (SpokenUdError, ValueError, LookupError, TypeError, AttributeError) as err:
-            raise SpokenUdError(f"{args.results} line {number}: not an eval "
-                                f"record: {err!r}") from None
-        standard_results.append(standard)
-        flex_results.append(flex)
+    # A text file splits at \n, \r\n and \r only, which json.dumps escapes.
+    with open(args.results, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                standard, flex = _report_results(json.loads(line.rstrip("\n")))
+            except (SpokenUdError, ValueError, LookupError, TypeError,
+                    AttributeError) as err:
+                raise SpokenUdError(f"{args.results} line {number}: not an eval "
+                                    f"record: {err!r}") from None
+            standard_results.append(standard)
+            flex_results.append(flex)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_tables(out, args.metric, standard_results, flex_results)

@@ -133,10 +133,12 @@ def parse_conllu(text: str) -> list[Sentence]:
     tab-separated columns raises MalformedLine.
 
     One pass over the lines. Each distinct MISC cell is decoded once per
-    call; every Token gets its own confidences dict.
+    call, and each distinct FORM, LEMMA, UPOS and DEPREL value is one shared
+    str; every Token gets its own confidences dict.
     """
     sentences: list[Sentence] = []
     misc_memo: dict[str, tuple] = {}
+    share_form, share = {}.setdefault, {"_": None}.setdefault  # "_" reads as None
     parse_id = NodeId.parse
     in_block = False
     for line_no, line in enumerate([*text.split("\n"), ""], start=1):  # "" ends a block
@@ -195,9 +197,8 @@ def parse_conllu(text: str) -> list[Sentence]:
                 decoded = misc_memo[misc] = _decode_misc(misc)
             orig_index, lang_tag, label, anchor, confidences, penalty, notes = decoded
             tokens.append(Token(
-                node_id, form, orig_index, None if lemma == "_" else lemma,
-                None if upos == "_" else upos, head,
-                None if deprel == "_" else deprel, lang_tag, label, anchor,
+                node_id, share_form(form, form), orig_index, share(lemma, lemma),
+                share(upos, upos), head, share(deprel, deprel), lang_tag, label, anchor,
                 dict(confidences), penalty, notes))
         except ValueError as err:
             raise MalformedLine(line_no, line, str(err))
@@ -208,10 +209,12 @@ def emit_conllu(sentences: Iterable[Sentence]) -> str:
     """CoNLL-U text; what parse_conllu could not read back is refused."""
     out: list[str] = []
     for sentence in sentences:
-        if sentence.sentence_id:
-            if breaks_cell(sentence.sentence_id):
-                raise SpokenUdError(f"tab or line break inside sent_id {sentence.sentence_id!r}")
-            out.append(f"# sent_id = {sentence.sentence_id}")
+        if sid := sentence.sentence_id:
+            if breaks_cell(sid):
+                raise SpokenUdError(f"tab or line break inside sent_id {sid!r}")
+            if sid != sid.strip():  # the reader strips the value
+                raise SpokenUdError(f"sent_id {sid!r} begins or ends with whitespace")
+            out.append(f"# sent_id = {sid}")
         if sentence.category is not None:
             out.append(f"# category = {sentence.category.value}")
         reserved = {"comments", "mwt"}
@@ -513,6 +516,8 @@ def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
         raise SpokenUdError(f"sentence_id must be a non-empty string, found {sid!r}")
     if breaks_cell(sid):
         raise SpokenUdError(f"sentence_id must not hold a tab or line break, found {sid!r}")
+    if sid != sid.strip():  # parse_conllu would read back sid.strip()
+        raise SpokenUdError(f"sentence_id must not begin or end with whitespace, found {sid!r}")
     if sid in seen:
         raise DuplicateSentenceId(sid)
     seen.add(sid)

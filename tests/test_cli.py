@@ -1,5 +1,7 @@
+import gc
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import pytest
@@ -222,6 +224,67 @@ def test_report_rebuilds_identical_tables_from_scores_that_all_differ(tmp_path):
             path = f"{name}_by_category.{suffix}"
             assert (report_out / path).read_text("utf-8") == \
                 (eval_out / path).read_text("utf-8")
+
+
+@pytest.mark.parametrize("sid", ["a\u2028b", "a\u2029b", "a\x85b"])
+def test_report_reads_back_ids_that_str_splitlines_would_break(tmp_path, sid):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text("".join(f"# sent_id = {name}\n1\tI\tI\tPRON\t_\t_\t0\troot\t_\t_\n\n"
+                            for name in ("a", sid)), encoding="utf-8")
+    eval_out, report_out = tmp_path / "eval", tmp_path / "report"
+    assert run(["eval", "--gold", gold, "--system", gold, "--out", eval_out]) == 0
+    assert run(["report", "--results", eval_out / "per_sentence.jsonl",
+                "--out", report_out]) == 0
+    for name in ("standard", "flexud"):
+        for suffix in ("md", "csv"):
+            path = f"{name}_by_category.{suffix}"
+            assert (report_out / path).read_text("utf-8") == \
+                (eval_out / path).read_text("utf-8")
+    records = (eval_out / "per_sentence.jsonl").read_text("utf-8").split("\n")
+    assert [json.loads(line)["sentence_id"] for line in records if line] == ["a", sid]
+
+
+def test_eval_holds_one_pair_at_a_time(tmp_path, monkeypatch):
+    # When a pair is scored, every earlier pair's sentences have been freed.
+    from spokenud import cli
+
+    scored = []
+    score = cli.evaluate_pair
+
+    def watched(gold, system, config):
+        gc.collect()
+        alive = [ref().sentence_id for ref in scored if ref() is not None]
+        assert alive == [], f"still alive when {gold.sentence_id} is scored: {alive}"
+        scored.extend((weakref.ref(gold), weakref.ref(system)))
+        return score(gold, system, config)
+
+    monkeypatch.setattr(cli, "evaluate_pair", watched)
+    assert run(["eval", "--gold", GOLD, "--system", GOLD, "--out", tmp_path / "o"]) == 0
+    assert len(scored) == 60
+
+
+def test_eval_that_fails_midway_keeps_the_old_results_and_leaves_no_temporary_file(
+        tmp_path, monkeypatch, capsys):
+    from spokenud import cli
+    from spokenud.core import SpokenUdError
+
+    out = tmp_path / "o"
+    assert run(["eval", "--gold", GOLD, "--system", GOLD, "--out", out]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    calls = []
+    score = cli.evaluate_pair
+
+    def fails_on_the_second_pair(gold, system, config):
+        calls.append(gold.sentence_id)
+        if len(calls) == 2:
+            raise SpokenUdError(f"cannot score {gold.sentence_id}")
+        return score(gold, system, config)
+
+    monkeypatch.setattr(cli, "evaluate_pair", fails_on_the_second_pair)
+    capsys.readouterr()
+    assert run(["eval", "--gold", GOLD, "--system", GOLD, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: cannot score {calls[1]}\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 # --- parse --------------------------------------------------------------------
@@ -620,3 +683,14 @@ def test_report_bad_record_exits_one_naming_file_and_line(tmp_path, capsys,
     assert run(["report", "--results", results, "--out", tmp_path / "r"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results} line 3: not an eval record: {reason}")
+
+
+def test_report_decodes_each_line_without_its_line_break(tmp_path, capsys):
+    # The decoder's position names the record's own text, as it did when the
+    # file was split with str.splitlines.
+    results = tmp_path / "per_sentence.jsonl"
+    results.write_text('{"sentence_id": "a"\n', encoding="utf-8")
+    assert run(["report", "--results", results, "--out", tmp_path / "r"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {results} line 1: not an eval record: JSONDecodeError(\"Expecting "
+        f"',' delimiter: line 1 column 20 (char 19)\")\n")

@@ -100,6 +100,33 @@ def test_emit_conllu_refuses_what_its_reader_could_not_read_back(sid, token):
         emit_conllu([Sentence(sentence_id=sid, tokens=(token,))])
 
 
+@pytest.mark.parametrize("sid", [" a", "a ", " a ", "\u2028a", "a\x85"])
+def test_emit_conllu_refuses_a_sent_id_its_reader_would_strip(sid):
+    from spokenud.core import Sentence
+    token = Token(id=NodeId(1), form="a", head=ROOT, deprel="root")
+    with pytest.raises(SpokenUdError) as err:
+        emit_conllu([Sentence(sentence_id=sid, tokens=(token,))])
+    assert str(err.value) == f"sent_id {sid!r} begins or ends with whitespace"
+    [back] = parse_conllu(emit_conllu([Sentence(sentence_id=sid.strip(), tokens=(token,))]))
+    assert back.sentence_id == sid.strip()
+
+
+def test_parse_conllu_shares_equal_cells_within_one_call():
+    # FORM, LEMMA, UPOS and DEPREL repeat across rows and sentences; each
+    # distinct value is one str object, so repeated rows cost no new strings.
+    block = ("1\tlike\tlike\tVERB\t_\t_\t0\troot\t_\tLang=eng\n"
+             "2\tit\tit\tPRON\t_\t_\t1\tobj\t_\tConf:core=0.900\n"
+             "3\tlike\tlike\tVERB\t_\t_\t1\tconj\t_\tConf:core=0.900\n")
+    text = "".join(f"# sent_id = c{i}\n{block}\n" for i in range(3))
+    tokens = [t for sentence in parse_conllu(text) for t in sentence.tokens]
+    for column in ("form", "lemma", "upos", "deprel"):
+        first: dict[str, str] = {}
+        for token in tokens:
+            value = getattr(token, column)
+            assert first.setdefault(value, value) is value, (column, value)
+    assert len({id(t.confidences) for t in tokens}) == len(tokens)
+
+
 def test_conllu_roundtrip_500_random_sentences():
     rng = random.Random(20240817)
     for i in range(500):
@@ -241,6 +268,17 @@ def test_load_manifest_rejects_an_id_with_a_tab_or_line_break(tmp_path, sid):
         load_manifest(path)
     assert str(err.value) == (f"{path}: line 2: sentence_id must not hold a tab "
                               f"or line break, found {sid!r}")
+
+
+@pytest.mark.parametrize("sid", [" a", "a ", "a\u2028", "\x85a"])
+def test_load_manifest_rejects_an_id_with_leading_or_trailing_whitespace(tmp_path, sid):
+    path = tmp_path / "m.jsonl"
+    path.write_text(manifest_line("a") + "\n" + manifest_line(sid) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (f"{path}: line 2: sentence_id must not begin or end "
+                              f"with whitespace, found {sid!r}")
 
 
 @pytest.mark.parametrize("form", ["", "a\tb", "a\nb", "a\rb"])
