@@ -47,6 +47,7 @@ class ReplayMiss(BackendError):
 
 
 BACKEND_MODES = ("live", "record", "replay", "stub")
+MAX_WORKERS = 32  # calls in flight, one per worker; 50 ms calls scale linearly to 16
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class BackendConfig:
     retries: int = 2
     backoff_base_s: float = 1.0
     replay_dir: str | None = None
-    max_in_flight: int = 4
     auth_env_var: str = "SPOKENUD_API_KEY"
 
 
@@ -153,7 +153,6 @@ class LiveBackend:
 
     def __init__(self, config: BackendConfig):
         self.config = config
-        self._semaphore = threading.BoundedSemaphore(config.max_in_flight)
 
     def _token(self) -> str:
         token = os.environ.get(self.config.auth_env_var, "")
@@ -181,9 +180,8 @@ class LiveBackend:
             if attempt:
                 time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
             try:
-                with self._semaphore:
-                    response = requests.post(url, json=payload, headers=headers,
-                                             timeout=self.config.timeout_s)
+                response = requests.post(url, json=payload, headers=headers,
+                                         timeout=self.config.timeout_s)
             except requests.Timeout:
                 last_error = RequestTimeout(f"request timed out after "
                                             f"{self.config.timeout_s}s")

@@ -12,7 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .backends import BackendError, make_backend, replaced_atomically
+from .backends import (BACKEND_MODES, MAX_WORKERS, BackendError, make_backend,
+                       replaced_atomically)
 from .config import ToolkitConfig, load_config
 from .core import Category, Sentence, SpokenUdError, validate_tree
 from .flexud import (
@@ -31,6 +32,7 @@ from .ioformats import (
     emit_sheet,
     load_manifest,
     manifest_entry_to_input_sentence,
+    open_utf8,
     parse_conllu,
     parse_sheet,
 )
@@ -45,12 +47,12 @@ from .pipeline import SentenceFailure, induced_sentence, run_batch
 
 
 class SentenceIdMismatch(SpokenUdError):
-    def __init__(self, only_gold, only_system):
-        self.only_gold = sorted(only_gold)
-        self.only_system = sorted(only_system)
+    def __init__(self, gold: dict, system: dict, gold_path: str, system_path: str):
+        self.only_gold = sorted(set(gold) - set(system))
+        self.only_system = sorted(set(system) - set(gold))
         super().__init__(
-            f"sentence ids do not match: only in gold {self.only_gold}, "
-            f"only in system {self.only_system}")
+            f"sentence ids do not match: only in gold {gold_path} {self.only_gold}, "
+            f"only in system {system_path} {self.only_system}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("parse", help="run the agent pipeline over a manifest")
     cmd.add_argument("--manifest", required=True)
     cmd.add_argument("--out", required=True, help="output directory")
-    cmd.add_argument("--backend-mode", choices=["live", "record", "replay", "stub"])
+    cmd.add_argument("--backend-mode", choices=BACKEND_MODES)
     cmd.add_argument("--replay-dir")
     cmd.add_argument("--model")
     cmd.add_argument("--base-url")
@@ -93,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def worker_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    if not 1 <= int(text) <= MAX_WORKERS:
+        bound = "at least 1" if int(text) < 1 else f"at most {MAX_WORKERS}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
     return int(text)
 
 
@@ -122,15 +125,9 @@ def main(argv=None) -> int:
 
 
 def _apply_backend_flags(config: ToolkitConfig, args) -> ToolkitConfig:
-    overrides = {}
-    if args.backend_mode:
-        overrides["mode"] = args.backend_mode
-    if args.replay_dir:
-        overrides["replay_dir"] = args.replay_dir
-    if args.model:
-        overrides["model_name"] = args.model
-    if args.base_url:
-        overrides["base_url"] = args.base_url
+    flags = {"mode": args.backend_mode, "replay_dir": args.replay_dir,
+             "model_name": args.model, "base_url": args.base_url}
+    overrides = {key: value for key, value in flags.items() if value}
     return config.with_backend(**overrides) if overrides else config
 
 
@@ -164,10 +161,11 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
                  ensure_ascii=False, sort_keys=True) for f in failures]),
              "adjudication.log": _lines([f"{parse.sentence_id}\t{line}" for parse in parses
                                          for line in parse.adjudication_log])}
+    blobs = {name: text.encode("utf-8") for name, text in texts.items()}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
+    for name, blob in blobs.items():
+        (out / name).write_bytes(blob)
 
     print(f"parsed {len(parses)} sentences, {len(failures)} failures")
     for failure in failures:
@@ -179,10 +177,10 @@ def cmd_parse(args, config: ToolkitConfig) -> int:
 
 
 def _pair_sentences(gold_path: str, system_path: str):
-    gold = _sentences_by_id(parse_conllu(_read(gold_path)), gold_path)
-    system = _sentences_by_id(parse_conllu(_read(system_path)), system_path)
+    gold = _sentences_by_id(_read(gold_path, parse_conllu), gold_path)
+    system = _sentences_by_id(_read(system_path, parse_conllu), system_path)
     if set(gold) != set(system):
-        raise SentenceIdMismatch(set(gold) - set(system), set(system) - set(gold))
+        raise SentenceIdMismatch(gold, system, gold_path, system_path)
     return gold, system
 
 
@@ -204,8 +202,14 @@ def _sentences_by_id(sentences: list[Sentence], path: str) -> dict[str, Sentence
     return by_id
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str, parse) -> list[Sentence]:
+    """The sentences ``parse`` reads from UTF-8 file ``path``; a refusal names the file."""
+    with open_utf8(path) as handle:
+        try:
+            return parse(handle.read())
+        except SpokenUdError as err:
+            err.args = (f"{err} in {path}",)
+            raise
 
 
 def _lines(lines: list[str]) -> str:
@@ -299,11 +303,8 @@ def _write_tables(out: Path, metric: str, standard_results, flex_results) -> Non
 
 
 def cmd_validate(args) -> int:
-    text = _read(args.path)
-    if args.path.endswith((".tsv", ".sheet")):
-        sentences = parse_sheet(text)
-    else:
-        sentences = parse_conllu(text)
+    sheet = args.path.endswith((".tsv", ".sheet"))
+    sentences = _read(args.path, parse_sheet if sheet else parse_conllu)
     failures = 0
     for sentence in sentences:
         report = validate_tree(sentence)
@@ -322,7 +323,7 @@ def cmd_report(args) -> int:
     standard_results = []
     flex_results = []
     # A text file splits at \n, \r\n and \r only, which json.dumps escapes.
-    with open(args.results, encoding="utf-8") as handle:
+    with open_utf8(args.results) as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import yaml
 
-from .backends import BACKEND_MODES, BackendConfig
+from .backends import BACKEND_MODES, MAX_WORKERS, BackendConfig
 from .core import SpokenUdError, UD_RELATIONS, UPOS_TAGS
 from .flexud import PenaltySchedule, ToleranceConfig, Weights
 
@@ -35,11 +35,14 @@ class ToolkitConfig:
         return replace(self, backend=replace(self.backend, **kwargs))
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """``base`` with ``override``'s values; a key ``base`` lacks is refused."""
     merged = dict(base)
     for key, value in override.items():
+        if key not in base and prefix != "evaluation.tolerance.contractions.":  # an open table
+            raise ConfigError(f"unknown config key {prefix}{key}")
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+            merged[key] = _deep_merge(merged[key], value, f"{prefix}{key}.")
         else:
             merged[key] = value
     return merged
@@ -63,17 +66,18 @@ def load_config(path: str | Path | None = None) -> ToolkitConfig:
         try:
             user = _load_yaml(path.read_text("utf-8")) or {}
         except (ValueError, yaml.YAMLError) as err:  # also bad UTF-8
-            raise ConfigError(f"config file is not UTF-8 YAML: {path}: {err}") from None
+            raise ConfigError(f"config file is not UTF-8 YAML: {path}: "
+                              f"{' '.join(str(err).split())}") from None  # one line
         if not isinstance(user, dict):
             raise ConfigError(f"config file must hold a mapping: {path}")
         document = _deep_merge(document, user)
     return _build(document)
 
 
-def _number(doc: dict, key: str, kind=float, least=None):
+def _number(doc: dict, key: str, kind=float, least=None, most=None):
     """The value at dotted ``key``'s last part in ``doc`` as ``kind``, at least
-    ``least`` if given. A boolean, or a fraction where an int is expected, is
-    refused, as is nan, which would pass every range check."""
+    ``least`` and at most ``most`` if given. A boolean, or a fraction where an
+    int is expected, is refused, as is nan, which would pass every range check."""
     value = doc[key.rpartition(".")[2]]
     try:
         number = kind(value)
@@ -84,6 +88,8 @@ def _number(doc: dict, key: str, kind=float, least=None):
         raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
     if least is not None and number < least:
         raise ConfigError(f"{key} must be at least {least}, got {number}")
+    if most is not None and number > most:
+        raise ConfigError(f"{key} must be at most {most}, got {number}")
     return number
 
 
@@ -166,7 +172,6 @@ def _build(document: dict) -> ToolkitConfig:
         timeout_s=_number(backend_doc, "backend.timeout_s"),
         retries=_number(backend_doc, "backend.retries", int, least=0),
         replay_dir=_string(backend_doc, "backend.replay_dir", nullable=True),
-        max_in_flight=_number(backend_doc, "backend.max_in_flight", int, least=1),
         auth_env_var=_string(backend_doc, "backend.auth_env_var"),
     )
 
@@ -178,6 +183,6 @@ def _build(document: dict) -> ToolkitConfig:
         allowed_upos=allowed_upos,
         allowed_deprels=allowed_deprels,
         backend=backend,
-        workers=_number(pipeline_doc, "pipeline.workers", int, least=1),
+        workers=_number(pipeline_doc, "pipeline.workers", int, least=1, most=MAX_WORKERS),
         agent_retries=_number(pipeline_doc, "pipeline.agent_retries", int, least=0),
     )

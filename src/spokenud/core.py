@@ -47,10 +47,14 @@ LANG_TAGS = ("eng", "spa", "mixed", "unknown")
 
 SPOKEN_LABELS = ("reparandum", "dep", "discourse", "filler", "none")
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # the one text UTF-8 cannot encode
 
-def breaks_cell(text: str) -> bool:
-    """Whether ``text`` holds a tab or line break, so cannot be one CoNLL-U or sheet cell."""
-    return "\t" in text or "\n" in text or "\r" in text
+
+def breaks_cell(text: str) -> str:
+    """What in ``text`` no CoNLL-U or sheet cell can hold, or "" if nothing."""
+    if "\t" in text or "\n" in text or "\r" in text:
+        return "a tab or line break"
+    return "a lone surrogate" if not text.isascii() and _SURROGATE.search(text) else ""
 
 
 def canonical_deprel(label: str) -> str:

@@ -9,6 +9,7 @@ places so golden files diff cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import urllib.parse
 from dataclasses import dataclass
@@ -210,8 +211,8 @@ def emit_conllu(sentences: Iterable[Sentence]) -> str:
     out: list[str] = []
     for sentence in sentences:
         if sid := sentence.sentence_id:
-            if breaks_cell(sid):
-                raise SpokenUdError(f"tab or line break inside sent_id {sid!r}")
+            if fault := breaks_cell(sid):
+                raise SpokenUdError(f"{fault} inside sent_id {sid!r}")
             if sid != sid.strip():  # the reader strips the value
                 raise SpokenUdError(f"sent_id {sid!r} begins or ends with whitespace")
             out.append(f"# sent_id = {sid}")
@@ -448,6 +449,17 @@ class BenchmarkManifest:
         return distribution
 
 
+@contextlib.contextmanager
+def open_utf8(path):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is refused with its offset."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as err:  # err.object ends where the file was read to
+            offset = handle.buffer.tell() - len(err.object) + err.start
+            raise SpokenUdError(f"{path}: not UTF-8 at byte {offset}: {err.reason}") from None
+
+
 def load_manifest(path) -> BenchmarkManifest:
     """Load a JSON-lines manifest of benchmark sentences.
 
@@ -459,7 +471,7 @@ def load_manifest(path) -> BenchmarkManifest:
     entries: list[ManifestEntry] = []
     seen: set[str] = set()
     declared: dict = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path) as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -514,8 +526,8 @@ def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
     sid = obj.get("sentence_id")
     if not isinstance(sid, str) or not sid:
         raise SpokenUdError(f"sentence_id must be a non-empty string, found {sid!r}")
-    if breaks_cell(sid):
-        raise SpokenUdError(f"sentence_id must not hold a tab or line break, found {sid!r}")
+    if fault := breaks_cell(sid):
+        raise SpokenUdError(f"sentence_id must not hold {fault}, found {sid!r}")
     if sid != sid.strip():  # parse_conllu would read back sid.strip()
         raise SpokenUdError(f"sentence_id must not begin or end with whitespace, found {sid!r}")
     if sid in seen:
@@ -530,8 +542,8 @@ def _manifest_entry(obj: dict, seen: set) -> ManifestEntry:
         raise SpokenUdError("tokens must be objects with a string 'form'")
     for form in (t["form"] for t in obj["tokens"]):
         if not form or breaks_cell(form):
-            raise SpokenUdError(f"token form must be non-empty without a tab or line "
-                                f"break, found {form!r}")
+            raise SpokenUdError(f"token form must be non-empty without "
+                                f"{breaks_cell(form) or 'a tab or line break'}, found {form!r}")
     category = Category.from_label(obj["category"])
     tokens = tuple((t["form"], t.get("lang_tag", "unknown")) for t in obj["tokens"])
     for _, lang in tokens:

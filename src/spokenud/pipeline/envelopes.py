@@ -293,8 +293,8 @@ def build_id_map(tokens: Iterable[PipelineToken]) -> dict:
 # --- semantic validation ----------------------------------------------------------
 
 def _check_cell(name: str, node: NodeId, text: str | None, violations: list) -> None:
-    if text and breaks_cell(text):
-        violations.append(f"{name} of {node} must not hold a tab or line break: {text!r}")
+    if text and (fault := breaks_cell(text)):
+        violations.append(f"{name} of {node} must not hold {fault}: {text!r}")
 
 
 def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:

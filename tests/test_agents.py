@@ -146,6 +146,22 @@ def test_a_cell_with_a_tab_or_line_break_is_a_violation(config, stage, key, valu
     assert calls["n"][stage] == config.agent_retries + 1
 
 
+@pytest.mark.parametrize("stage, key", [("sph", "split_token"), ("lsr", "lemma"),
+                                        ("core", "LEMMA"), ("core", "DEPREL")])
+def test_a_cell_with_a_lone_surrogate_is_a_violation(config, stage, key):
+    # json.dumps writes the surrogate as an escape, which strict UTF-8 JSON carries.
+    responses = three_word_responses()
+    obj = json.loads(responses[stage])
+    obj["annotated_tokens" if stage == "core" else "tokens"][2][key] = "s\ud800i"
+    responses[stage] = json.dumps(obj)
+    assert "\\ud800" in responses[stage]
+    backend, _ = scripted_backend(responses)
+    result = parse_sentence(input_sentence("t1", ["yo", "creo", "si"]), backend, config)
+    assert isinstance(result, SentenceFailure)
+    assert (result.stage, result.attempts) == (stage.upper(), config.agent_retries + 1)
+    assert f"{key} of 3 must not hold a lone surrogate: 's\\ud800i'" in result.violations
+
+
 def test_lsr_removing_sph_split_is_rejected(config):
     sid = "t2"
     sph, _ = sph_lsr(sid, ["do", "not", "go"])

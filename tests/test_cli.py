@@ -96,6 +96,36 @@ def test_eval_mismatched_ids(tmp_path, capsys):
     assert "sentence ids do not match" in capsys.readouterr().err
 
 
+def test_eval_names_the_file_each_refusal_is_about(tmp_path, capsys):
+    system = tmp_path / "sys.conllu"
+    system.write_text(GOLD.read_text("utf-8").replace("# sent_id = sb01", "# sent_id = x"),
+                      encoding="utf-8")
+    assert run(["eval", "--gold", GOLD, "--system", system, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == (f"error: sentence ids do not match: only in gold "
+                                       f"{GOLD} ['sb01'], only in system {system} ['x']\n")
+    system.write_text("\ufeff" + GOLD.read_text("utf-8"), encoding="utf-8")
+    for command in (["eval", "--gold", GOLD, "--system", system, "--out", tmp_path / "o"],
+                    ["validate", system]):
+        assert run(command) == 1
+        assert capsys.readouterr().err == (f"error: line 1: expected 10 columns, got 1: "
+                                           f"'\\ufeff# sent_id = sb01' in {system}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{path}"],
+    ["eval", "--gold", GOLD, "--system", "{path}", "--out", "{out}"],
+    ["parse", "--manifest", "{path}", "--out", "{out}", "--backend-mode", "stub"],
+    ["report", "--results", "{path}", "--out", "{out}"],
+])
+def test_input_that_is_not_utf8_exits_one_naming_file_and_byte(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\n" * 70000 + b"\xff")  # past the first chunk a reader decodes
+    assert run([str(a).format(path=path, out=tmp_path / "o") for a in command]) == 1
+    assert capsys.readouterr().err == (f"error: {path}: not UTF-8 at byte 70000: "
+                                       f"invalid start byte\n")
+    assert not (tmp_path / "o").exists()
+
+
 def _conllu(*sentence_ids):
     blocks = []
     for i, sid in enumerate(sentence_ids, start=1):
@@ -370,6 +400,16 @@ def test_parse_replay_outputs_equal_the_recorded_golden_bytes(
                 "--workers", workers]) == 0
     for name in ("parses.conllu", "parses.sheet.tsv", "adjudication.log"):
         assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_parse_encodes_every_output_before_it_writes_one(
+        tmp_path, replay_dir, manifest_path, monkeypatch):
+    # A text UTF-8 cannot encode never leaves a partial set of outputs.
+    monkeypatch.setattr("spokenud.cli.emit_sheet", lambda sentences: "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
+             "--backend-mode", "replay", "--replay-dir", replay_dir])
+    assert not (tmp_path / "o").exists()
 
 
 def test_usage_error_exit_code():

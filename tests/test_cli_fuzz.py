@@ -5,14 +5,18 @@ mutated ``per_sentence.jsonl`` files, built by ``eval``, must end in exit 0
 or 1: an input the readers refuse is an error naming the line, never an
 exception escaping ``cli.main``. Mutated manifests and replay records under
 ``parse --backend-mode replay``, and mutated ``--config`` files under
-``eval``, must end in one of the documented exit codes 0 to 3.
+``eval``, must end in one of the documented exit codes 0 to 3. Bytes inserted
+into each subcommand's input files (not UTF-8, a BOM, NUL, a lone surrogate)
+must end in exit 0, or 1 or 3 with at most one stderr line naming the file.
 """
 
 import json
 import random
+import re
 import shutil
 from importlib import resources
 
+import pytest
 import yaml
 
 from spokenud.cli import main
@@ -267,3 +271,96 @@ def test_eval_exits_with_a_documented_code_on_mutated_config(tmp_path, capsys):
         assert codes[-1] in (0, 1, 2, 3), (case, text)
     capsys.readouterr()
     assert 0.2 < codes.count(1) / len(codes) < 0.95, codes.count(1)
+
+
+# Bytes inserted into an input file: one that is never UTF-8, a UTF-8 BOM, NUL,
+# a multi-byte sequence cut short, and the JSON escape of a lone surrogate.
+BYTE_NOISE = [b"\xff", b"\xef\xbb\xbf", b"\x00", "€".encode("utf-8")[:2], rb"\ud800"]
+BYTE_CASES = 4
+
+
+def insert_noise(rng, data: bytes, noise: bytes) -> bytes:
+    """``data`` with ``noise`` inserted: the escape just inside a JSON string
+    value, at any depth of escaping, the other bytes anywhere."""
+    if noise == rb"\ud800":
+        at = rng.choice([match.end() for match in re.finditer(rb'": \\*"', data)])
+    else:
+        at = rng.randrange(len(data) + 1)
+    return data[:at] + noise + data[at:]
+
+
+@pytest.fixture
+def byte_inputs(tmp_path, pipeline_manifest_path, replay_dir):
+    """One clean input file of each kind a subcommand reads."""
+    rng = random.Random(29)
+    sentences = [random_sentence(rng, f"b{i}", sheet_compatible=True) for i in range(3)]
+    paths = {"gold": tmp_path / "gold.conllu", "sheet": tmp_path / "gold.tsv",
+             "manifest": pipeline_manifest_path, "replay": replay_dir,
+             "config": resources.files("spokenud.data").joinpath("default_config.yaml")}
+    paths["gold"].write_text(emit_conllu(sentences), encoding="utf-8")
+    paths["sheet"].write_text(emit_sheet(sentences), encoding="utf-8")
+    assert main(["eval", "--gold", str(paths["gold"]), "--system", str(paths["gold"]),
+                 "--out", str(tmp_path / "eval")]) == 0
+    paths["results"] = tmp_path / "eval" / "per_sentence.jsonl"
+    return paths
+
+
+# Each case: the input it damages, whether its text is JSON, and the command
+# line that reads it ({path} is the damaged file, {replay} the replay store).
+BYTE_TARGETS = {
+    "validate-conllu": ("gold", False, ["validate", "{path}"]),
+    "validate-sheet": ("sheet", False, ["validate", "{path}"]),
+    "eval-gold": ("gold", False, ["eval", "--gold", "{path}", "--system", "{gold}",
+                                  "--out", "{out}"]),
+    "eval-system": ("gold", False, ["eval", "--gold", "{gold}", "--system", "{path}",
+                                    "--out", "{out}"]),
+    "report-results": ("results", True, ["report", "--results", "{path}", "--out", "{out}"]),
+    "parse-manifest": ("manifest", True, ["parse", "--manifest", "{path}", "--out", "{out}",
+                                          "--backend-mode", "replay", "--replay-dir",
+                                          "{replay}"]),
+    "parse-replay-record": ("replay", True, ["parse", "--manifest", "{manifest}",
+                                             "--out", "{out}", "--backend-mode", "replay",
+                                             "--replay-dir", "{replay}"]),
+    "config": ("config", False, ["--config", "{path}", "eval", "--gold", "{gold}",
+                                 "--system", "{gold}", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("target", BYTE_TARGETS)
+def test_damaged_bytes_exit_with_one_line_naming_the_file(tmp_path, capsys, byte_inputs,
+                                                          target):
+    """Exit 0, or exit 1 or 3 with at most one stderr line, naming the damaged
+    file; only validate and parse report a failure on stdout alone. A config
+    refusal names the key it refuses instead (tests/test_config.py)."""
+    rng = random.Random(31)
+    kind, is_json, command = BYTE_TARGETS[target]
+    for noise in BYTE_NOISE if is_json else BYTE_NOISE[:-1]:
+        for case in range(BYTE_CASES):
+            work = tmp_path / f"{noise.hex()}-{case}"
+            replay = work / "replay"
+            work.mkdir()
+            if "{replay}" in command:
+                shutil.copytree(byte_inputs["replay"], replay)
+            source = byte_inputs[kind]
+            if kind == "replay":
+                source = path = replay / rng.choice(sorted(p.name for p in replay.iterdir()))
+            else:
+                path = work / source.name
+            path.write_bytes(insert_noise(rng, source.read_bytes(), noise))
+            argv = [part.format(path=path, gold=byte_inputs["gold"], out=work / "out",
+                                manifest=byte_inputs["manifest"], replay=replay)
+                    for part in command]
+            try:
+                code = exit_code(argv)
+            except BaseException as err:
+                err.add_note(f"{target}: {noise!r} case {case} in {path}")
+                raise
+            lines = capsys.readouterr().err.splitlines()
+            where = (target, noise, case, lines)
+            assert code in (0, 1, 3), where
+            assert len(lines) <= 1, where
+            assert kind == "config" or all(str(path) in line for line in lines), where
+            assert code == 0 or lines or argv[0] in ("validate", "parse"), where
+            if argv[0] == "parse":  # all four outputs or none
+                written = [name for name in OUTPUTS if (work / "out" / name).exists()]
+                assert written in ([], list(OUTPUTS)), where

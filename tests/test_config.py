@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from spokenud.backends import BackendConfig, BackendError, make_backend
+from spokenud.backends import MAX_WORKERS, BackendConfig, BackendError, make_backend
 from spokenud.cli import main
 from spokenud.config import ConfigError, ToolkitConfig, load_config
 from spokenud.core import UD_RELATIONS, UPOS_TAGS
@@ -129,8 +129,7 @@ def test_non_numeric_value_exits_one_naming_key_and_value(tmp_path, capsys,
 @pytest.mark.parametrize("document, message", [
     ("backend: {mode: bogus}\n",
      "backend.mode: expected one of live, record, replay, stub, got 'bogus'"),
-    ("backend: {max_in_flight: 0}\n", "backend.max_in_flight must be at least 1, got 0"),
-    ("backend: {max_in_flight: -1}\n", "backend.max_in_flight must be at least 1, got -1"),
+    ("backend: {max_in_flight: 4}\n", "unknown config key backend.max_in_flight"),
     ("backend: {retries: -1}\n", "backend.retries must be at least 0, got -1"),
     ("pipeline: {agent_retries: -1}\n",
      "pipeline.agent_retries must be at least 0, got -1"),
@@ -147,6 +146,47 @@ def test_out_of_range_backend_or_retry_setting_exits_one_naming_the_key(
                      "--base-url", "http://127.0.0.1:1"]):
         assert main(["--config", user, *command]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("document, key", [
+    ("pipeline: {worker: 8}\n", "pipeline.worker"),
+    ("backend: {retires: 5}\n", "backend.retires"),
+    ("backend: {max_in_flight: 4}\n", "backend.max_in_flight"),
+    ("evaluation: {weights: {split: 0.15, splits: 0.1}}\n", "evaluation.weights.splits"),
+    ("evaluation: {tolerance: {contraction: {a: b}}}\n", "evaluation.tolerance.contraction"),
+    ("pipelines: {workers: 2}\n", "pipelines"),
+])
+def test_a_key_the_shipped_document_lacks_exits_one_naming_it(tmp_path, capsys,
+                                                               document, key):
+    # Nothing reads such a key, so it used to load silently as the default.
+    assert_config_error(tmp_path, capsys, document, f"unknown config key {key}")
+
+
+def test_a_user_file_may_add_a_contraction(tmp_path):
+    user = tmp_path / "user.yaml"
+    user.write_text("evaluation: {tolerance: {contractions: {\"don't\": donot}}}\n",
+                    encoding="utf-8")
+    table = load_config(user).tolerance.contraction_table
+    assert table == {**load_config().tolerance.contraction_table, "don't": "donot"}
+
+
+def test_more_workers_than_the_cap_are_refused_at_both_entry_points(
+        tmp_path, capsys, monkeypatch, pipeline_manifest_path):
+    # Refused before a backend, and so a worker pool, is made.
+    monkeypatch.setattr("spokenud.cli.make_backend", pytest.fail)
+    assert_config_error(tmp_path, capsys, f"pipeline: {{workers: {MAX_WORKERS + 1}}}\n",
+                        f"pipeline.workers must be at most {MAX_WORKERS}, got "
+                        f"{MAX_WORKERS + 1}")
+    user = tmp_path / "user.yaml"
+    user.write_text(f"pipeline: {{workers: {MAX_WORKERS}}}\n", encoding="utf-8")
+    assert load_config(user).workers == MAX_WORKERS
+    with pytest.raises(SystemExit) as err:
+        main(["parse", "--manifest", str(pipeline_manifest_path), "--out",
+              str(tmp_path / "o"), "--workers", str(MAX_WORKERS + 1)])
+    assert err.value.code == 2
+    assert (f"--workers: must be at most {MAX_WORKERS}, got {MAX_WORKERS + 1}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
 
 

@@ -15,6 +15,7 @@ from spokenud.ioformats import (
     emit_sheet,
     load_manifest,
     manifest_entry_to_input_sentence,
+    open_utf8,
     parse_conllu,
     parse_sheet,
 )
@@ -293,6 +294,55 @@ def test_load_manifest_rejects_an_empty_form_or_one_with_a_tab_or_line_break(
         load_manifest(path)
     assert str(err.value) == (f"{path}: line 2: token form must be non-empty "
                               f"without a tab or line break, found {form!r}")
+
+
+@pytest.mark.parametrize("field", ["sentence_id", "form"])
+def test_load_manifest_rejects_a_lone_surrogate_naming_path_and_line(tmp_path, field):
+    # A JSON escape carries it through strict UTF-8; no output file can hold it.
+    obj = json.loads(manifest_line("b"))
+    if field == "form":
+        obj["tokens"][1]["form"] = "v\ud800a"
+    else:
+        obj["sentence_id"] = "s\ud800"
+    path = tmp_path / "m.jsonl"
+    path.write_text(manifest_line("a") + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (
+        f"{path}: line 2: token form must be non-empty without a lone surrogate, "
+        f"found 'v\\ud800a'" if field == "form" else
+        f"{path}: line 2: sentence_id must not hold a lone surrogate, found 's\\ud800'")
+
+
+def test_emit_conllu_refuses_a_lone_surrogate_sent_id():
+    with pytest.raises(SpokenUdError, match="^a lone surrogate inside sent_id"):
+        emit_conllu(parse_conllu(TWO_TOKEN.replace("t1", "t\ud800")))
+
+
+@pytest.mark.parametrize("lines", [False, True], ids=["read", "lines"])
+@pytest.mark.parametrize("data, offset", [
+    (b"\xff", 0),
+    (b"a\n" * 9000 + b"\xe2\x82", 18000),  # a sequence cut short at the end
+    ("é\r\n".encode("utf-8") * 5000 + b"\x80ok\n", 20000),  # beyond the first chunk
+], ids=["first-byte", "cut-short-at-the-end", "past-the-first-chunk"])
+def test_open_utf8_names_the_file_offset_of_the_first_byte_that_is_not_utf8(
+        tmp_path, data, offset, lines):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(SpokenUdError) as err:
+        with open_utf8(path) as handle:
+            list(handle) if lines else handle.read()
+    assert str(err.value).startswith(f"{path}: not UTF-8 at byte {offset}: ")
+    with pytest.raises(UnicodeDecodeError) as decode:
+        data.decode("utf-8")
+    assert decode.value.start == offset
+
+
+def test_open_utf8_reads_universal_newlines_as_open_does(tmp_path):
+    path = tmp_path / "ok.txt"
+    path.write_bytes("a\r\nb\rc\u2028d\n".encode("utf-8"))
+    with open_utf8(path) as handle:
+        assert list(handle) == ["a\n", "b\n", "c\u2028d\n"]
 
 
 def test_load_manifest_rejects_missing_id(tmp_path):
