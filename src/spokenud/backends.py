@@ -16,6 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .core import SpokenUdError
 
@@ -48,6 +49,7 @@ class ReplayMiss(BackendError):
 
 BACKEND_MODES = ("live", "record", "replay", "stub")
 MAX_WORKERS = 32  # calls in flight, one per worker; 50 ms calls scale linearly to 16
+BACKOFF_BASE_S = 1.0  # a live call's retries wait 1 s, 2 s, 4 s, ...
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,6 @@ class BackendConfig:
     max_tokens: int = 4096
     timeout_s: float = 60.0
     retries: int = 2
-    backoff_base_s: float = 1.0
     replay_dir: str | None = None
     auth_env_var: str = "SPOKENUD_API_KEY"
 
@@ -154,17 +155,15 @@ class LiveBackend:
     def __init__(self, config: BackendConfig):
         self.config = config
 
-    def _token(self) -> str:
-        token = os.environ.get(self.config.auth_env_var, "")
-        if not token:
-            raise AuthMissing(
-                f"set {self.config.auth_env_var} to use the live backend")
-        return token
-
     def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
-        import requests
+        import http.client  # imported here, so that no other command loads them
+        import urllib.error
+        import urllib.request
+        from . import __version__
 
-        payload = {
+        if not (token := os.environ.get(self.config.auth_env_var, "")):
+            raise AuthMissing(f"set {self.config.auth_env_var} to use the live backend")
+        body = json.dumps({
             "model": self.config.model_name,
             "messages": [
                 {"role": "system", "content": system_prompt},
@@ -172,30 +171,35 @@ class LiveBackend:
             ],
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
-        }
-        headers = {"Authorization": f"Bearer {self._token()}"}
+        }).encode("utf-8")
+        headers = {"Content-Type": "application/json", "User-Agent": f"spokenud/{__version__}",
+                   "Authorization": f"Bearer {token}"}
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         last_error: BackendError | None = None
         for attempt in range(self.config.retries + 1):
             if attempt:
-                time.sleep(self.config.backoff_base_s * 2 ** (attempt - 1))
+                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            try:  # the Request too: a bad URL or header raises ValueError
+                request = urllib.request.Request(url, body, headers, method="POST")
+                try:
+                    reply = urllib.request.urlopen(request, timeout=self.config.timeout_s)
+                except urllib.error.HTTPError as err:  # a status other than 2xx
+                    reply = err
+                with reply:
+                    status, raw = reply.status, reply.read()
+            except (OSError, http.client.HTTPException, ValueError) as err:
+                reason = err.reason if isinstance(err, urllib.error.URLError) else err
+                last_error = (RequestTimeout(f"request timed out after {self.config.timeout_s}s")
+                              if isinstance(reason, TimeoutError) else
+                              BackendError(f"transport failure: {reason}"))
+                continue
+            if status in self.RETRYABLE_STATUS:
+                last_error = HttpStatus(status, raw.decode("utf-8", errors="replace"))
+                continue
+            if status != 200:
+                raise HttpStatus(status, raw.decode("utf-8", errors="replace"))
             try:
-                response = requests.post(url, json=payload, headers=headers,
-                                         timeout=self.config.timeout_s)
-            except requests.Timeout:
-                last_error = RequestTimeout(f"request timed out after "
-                                            f"{self.config.timeout_s}s")
-                continue
-            except requests.RequestException as err:
-                last_error = BackendError(f"transport failure: {err}")
-                continue
-            if response.status_code in self.RETRYABLE_STATUS:
-                last_error = HttpStatus(response.status_code, response.text)
-                continue
-            if response.status_code != 200:
-                raise HttpStatus(response.status_code, response.text)
-            try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(raw)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise BackendError(f"malformed completion payload: {err}")
             if not isinstance(content, str):
@@ -239,4 +243,7 @@ def make_backend(config: BackendConfig):
         raise BackendError(f"{config.mode} mode requires a replay directory")
     if config.mode != "replay" and not config.base_url:
         raise BackendError(f"{config.mode} mode requires a base URL")
+    if config.mode != "replay" and urlsplit(config.base_url).scheme not in ("http", "https"):
+        raise BackendError(f"{config.mode} mode requires an http or https base URL, not "
+                           f"{urlsplit(config.base_url).scheme!r}")  # urllib opens file: too
     return backend(config)

@@ -70,7 +70,10 @@ def load_config(path: str | Path | None = None) -> ToolkitConfig:
                               f"{' '.join(str(err).split())}") from None  # one line
         if not isinstance(user, dict):
             raise ConfigError(f"config file must hold a mapping: {path}")
-        document = _deep_merge(document, user)
+        try:
+            return _build(_deep_merge(document, user))
+        except ConfigError as err:
+            raise ConfigError(f"{path}: {err}") from None
     return _build(document)
 
 

@@ -48,13 +48,18 @@ LANG_TAGS = ("eng", "spa", "mixed", "unknown")
 SPOKEN_LABELS = ("reparandum", "dep", "discourse", "filler", "none")
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the one text UTF-8 cannot encode
+CONTROL_CHARACTER = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f\ufeff]")  # C0, DEL and BOM
 
 
 def breaks_cell(text: str) -> str:
     """What in ``text`` no CoNLL-U or sheet cell can hold, or "" if nothing."""
+    if text.isprintable():  # then it holds none of the below
+        return ""
     if "\t" in text or "\n" in text or "\r" in text:
         return "a tab or line break"
-    return "a lone surrogate" if not text.isascii() and _SURROGATE.search(text) else ""
+    if found := CONTROL_CHARACTER.search(text):
+        return f"a control character U+{ord(found.group()):04X}"
+    return "a lone surrogate" if _SURROGATE.search(text) else ""
 
 
 def canonical_deprel(label: str) -> str:

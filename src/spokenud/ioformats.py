@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
+    CONTROL_CHARACTER,
     LANG_TAGS,
     ROOT,
     Category,
@@ -131,12 +132,13 @@ def parse_conllu(text: str) -> list[Sentence]:
     Comment lines populate metadata (``sent_id`` and ``category`` are
     recognized), multiword-token range lines are preserved as metadata, and
     dotted ids become dotted nodes. A line that does not have exactly 10
-    tab-separated columns raises MalformedLine.
+    tab-separated columns, or any control character, raises MalformedLine.
 
     One pass over the lines. Each distinct MISC cell is decoded once per
     call, and each distinct FORM, LEMMA, UPOS and DEPREL value is one shared
     str; every Token gets its own confidences dict.
     """
+    _refuse_control_characters(text)
     sentences: list[Sentence] = []
     misc_memo: dict[str, tuple] = {}
     share_form, share = {}.setdefault, {"_": None}.setdefault  # "_" reads as None
@@ -204,6 +206,13 @@ def parse_conllu(text: str) -> list[Sentence]:
         except ValueError as err:
             raise MalformedLine(line_no, line, str(err))
     return sentences
+
+
+def _refuse_control_characters(text: str) -> None:
+    """Refuse ``text`` if it holds a ``CONTROL_CHARACTER``, naming the first one's line."""
+    if found := CONTROL_CHARACTER.search(text):
+        line_no = text.count("\n", 0, found.start()) + 1
+        raise MalformedLine(line_no, text.split("\n")[line_no - 1], breaks_cell(found.group()))
 
 
 def emit_conllu(sentences: Iterable[Sentence]) -> str:
@@ -360,6 +369,7 @@ def parse_sheet(text: str) -> list[Sentence]:
     Verifies the fixed header, per-sentence sheet id contiguity, and that
     every HEAD string equals the FORM of the row its sheet_HEAD_ID points to.
     """
+    _refuse_control_characters(text)
     lines = text.split("\n")
     if not lines or lines[0].split("\t") != list(SHEET_COLUMNS):
         raise HeaderMismatch(f"sheet header does not match: {lines[0]!r}")

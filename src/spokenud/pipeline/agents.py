@@ -345,14 +345,14 @@ def seed_replay_store(store: ReplayStore, sentence: Sentence,
                              allowed_upos=UPOS_TAGS, allowed_deprels=UD_RELATIONS)
     upstream = sentence
     for stage in STAGES:
-        requests = []
+        asked = []
 
         def answer(system_prompt, user_prompt, key, raw=responses[stage]):
-            requests.append((key, request_fingerprint(system_prompt, user_prompt, model)))
+            asked.append((key, request_fingerprint(system_prompt, user_prompt, model)))
             return raw
         try:
             upstream = run_agent(stage, upstream, StubBackend(script=answer), config,
                                  input_sentence=sentence)
         except SchemaViolation as err:
             raise SpokenUdError(f"canned {stage} response invalid: {err.violations}") from None
-        store.save(*requests[0], responses[stage])
+        store.save(*asked[0], responses[stage])

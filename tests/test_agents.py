@@ -162,6 +162,19 @@ def test_a_cell_with_a_lone_surrogate_is_a_violation(config, stage, key):
     assert f"{key} of 3 must not hold a lone surrogate: 's\\ud800i'" in result.violations
 
 
+@pytest.mark.parametrize("stage, key", [("sph", "split_token"), ("core", "LEMMA")])
+def test_a_cell_with_a_control_character_is_a_violation(config, stage, key):
+    responses = three_word_responses()
+    obj = json.loads(responses[stage])
+    obj["annotated_tokens" if stage == "core" else "tokens"][2][key] = "s\ufeffi"
+    responses[stage] = json.dumps(obj)
+    backend, _ = scripted_backend(responses)
+    result = parse_sentence(input_sentence("t1", ["yo", "creo", "si"]), backend, config)
+    assert isinstance(result, SentenceFailure) and result.stage == stage.upper()
+    assert (f"{key} of 3 must not hold a control character U+FEFF: 's\\ufeffi'"
+            in result.violations)
+
+
 def test_lsr_removing_sph_split_is_rejected(config):
     sid = "t2"
     sph, _ = sph_lsr(sid, ["do", "not", "go"])

@@ -1,16 +1,22 @@
 import json
+import socket
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import spokenud
 from spokenud.backends import (
     AuthMissing,
     BackendConfig,
     BackendError,
     HttpStatus,
+    LiveBackend,
     ReplayMiss,
     ReplayStore,
+    RequestTimeout,
     make_backend,
     request_fingerprint,
 )
@@ -128,22 +134,29 @@ def test_make_backend_checks_the_settings_its_mode_needs(settings, message):
 
 class _MockCompletionHandler(BaseHTTPRequestHandler):
     status_queue: list = []
-    payload_queue: list = []  # completion payloads to send instead of the echo
+    payload_queue: list = []  # completion payloads (bytes sent as they are) instead of the echo
+    delay_s = 0.0  # how long each request waits before it is answered
     calls: list = []
+    headers_seen: list = []
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).calls.append(body)
+        type(self).headers_seen.append(dict(self.headers))
+        if self.delay_s:
+            time.sleep(self.delay_s)
         status = self.status_queue.pop(0) if self.status_queue else 200
         if status != 200:
             self.send_response(status)
             self.end_headers()
             return
         prompt = body["messages"][1]["content"]
-        payload = json.dumps(self.payload_queue.pop(0) if self.payload_queue else {
+        payload = self.payload_queue.pop(0) if self.payload_queue else {
             "choices": [{"message": {"content": f"echo: {prompt}"}}],
-        }).encode("utf-8")
+        }
+        if not isinstance(payload, bytes):
+            payload = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -158,9 +171,12 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
 def mock_server():
     _MockCompletionHandler.status_queue = []
     _MockCompletionHandler.payload_queue = []
+    _MockCompletionHandler.delay_s = 0.0
     _MockCompletionHandler.calls = []
+    _MockCompletionHandler.headers_seen = []
     server = HTTPServer(("127.0.0.1", 0), _MockCompletionHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
@@ -177,12 +193,85 @@ def test_live_round_trip(mock_server, monkeypatch):
 
 
 def test_live_retries_on_transient_status(mock_server, monkeypatch):
+    """Each retry of a 429 or 5xx status waits twice as long as the one before."""
     monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
     _MockCompletionHandler.status_queue = [429, 500]
-    config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5,
-                           backoff_base_s=0.01)
+    config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
     assert make_backend(config).complete("sys", "ping", "s1.sph") == "echo: ping"
     assert len(_MockCompletionHandler.calls) == 3
+    assert sleeps == [1.0, 2.0]
+
+
+def test_live_round_trip_without_requests(mock_server, monkeypatch):
+    """The live client is the standard library's: it runs with requests unimportable."""
+    monkeypatch.setitem(sys.modules, "requests", None)
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    config = BackendConfig(mode="live", base_url=mock_server + "/", timeout_s=5)
+    assert make_backend(config).complete("sys", "ping é", "s1.sph") == "echo: ping é"
+    headers = _MockCompletionHandler.headers_seen[0]
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer test-token"
+    assert headers["User-Agent"] == f"spokenud/{spokenud.__version__}"
+    assert _MockCompletionHandler.calls[0]["messages"][1]["content"] == "ping é"
+
+
+def test_live_request_past_its_timeout_is_a_request_timeout(mock_server, monkeypatch):
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    _MockCompletionHandler.delay_s = 0.5
+    config = BackendConfig(mode="live", base_url=mock_server, timeout_s=0.1, retries=0)
+    with pytest.raises(RequestTimeout, match=r"^request timed out after 0\.1s$"):
+        make_backend(config).complete("sys", "ping", "s1.sph")
+
+
+def _refused_url() -> str:
+    """The URL of a local port that nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}"
+
+
+@pytest.mark.parametrize("base_url, message", [
+    (None, "transport failure: [Errno 111] Connection refused"),
+    ("not-a-url", "transport failure: unknown url type: 'not-a-url/chat/completions'"),
+    ("http://host:abc", "transport failure: nonnumeric port: 'abc'"),
+], ids=["refused-port", "not-a-url", "non-numeric-port"])
+def test_live_transport_failure_is_a_backend_error(monkeypatch, base_url, message):
+    # Built directly: make_backend refuses a URL without an http or https scheme.
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    config = BackendConfig(mode="live", base_url=base_url or _refused_url(), timeout_s=5)
+    with pytest.raises(BackendError) as err:
+        LiveBackend(config).complete("sys", "ping", "s1.sph")
+    assert type(err.value) is BackendError
+    assert str(err.value) == message
+    assert sleeps == [1.0, 2.0]  # a transport failure is retried
+
+
+def test_live_body_that_is_not_json_is_a_malformed_payload(mock_server, monkeypatch):
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    _MockCompletionHandler.payload_queue = [b"<html>busy</html>"]
+    config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
+    with pytest.raises(BackendError) as err:
+        make_backend(config).complete("sys", "ping", "s1.sph")
+    assert str(err.value) == ("malformed completion payload: "
+                              "Expecting value: line 1 column 1 (char 0)")
+    assert len(_MockCompletionHandler.calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+@pytest.mark.parametrize("base_url, scheme", [
+    ("file:///etc", "file"), ("ftp://example.org/v1", "ftp"), ("localhost:8000", "localhost"),
+    ("127.0.0.1:8000/v1", ""),
+])
+def test_make_backend_refuses_a_base_url_that_is_not_http(tmp_path, mode, base_url, scheme):
+    config = BackendConfig(mode=mode, base_url=base_url, replay_dir=str(tmp_path))
+    with pytest.raises(BackendError) as err:
+        make_backend(config)
+    assert str(err.value) == (f"{mode} mode requires an http or https base URL, "
+                              f"not {scheme!r}")
 
 
 def test_live_fatal_status_raises(mock_server, monkeypatch):

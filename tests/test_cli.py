@@ -25,6 +25,24 @@ def test_validate_gold_corpus_exit_zero(capsys):
     assert "30 sentences, 0 with issues" in out
 
 
+@pytest.mark.parametrize("inserted", ["\x00", "\x07", "\ufeff"])
+def test_validate_refuses_a_control_character_inside_a_token_row(tmp_path, capsys, inserted):
+    text = GOLD.read_text("utf-8")
+    bad = tmp_path / "bad.conllu"
+    bad.write_text(text[:4210] + inserted + text[4210:], encoding="utf-8")
+    assert text[:4210].count("\n") == 135 and "\t" in text.splitlines()[135]
+    assert run(["validate", bad]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: line 136: a control character U+{ord(inserted):04X}: '1\\twe\\t")
+
+
+def test_validate_reads_a_crlf_file(tmp_path, capsys):
+    crlf = tmp_path / "crlf.conllu"
+    crlf.write_bytes(GOLD.read_bytes().replace(b"\n", b"\r\n"))
+    assert run(["validate", crlf]) == 0
+    assert "30 sentences, 0 with issues" in capsys.readouterr().out
+
+
 def test_validate_two_root_sentence_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.conllu"
     bad.write_text(
@@ -107,7 +125,7 @@ def test_eval_names_the_file_each_refusal_is_about(tmp_path, capsys):
     for command in (["eval", "--gold", GOLD, "--system", system, "--out", tmp_path / "o"],
                     ["validate", system]):
         assert run(command) == 1
-        assert capsys.readouterr().err == (f"error: line 1: expected 10 columns, got 1: "
+        assert capsys.readouterr().err == (f"error: line 1: a control character U+FEFF: "
                                            f"'\\ufeff# sent_id = sb01' in {system}\n")
 
 
@@ -434,6 +452,29 @@ def test_backend_misconfiguration_exit_code(tmp_path, manifest_path, capsys):
     assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
                 "--backend-mode", "replay"]) == 3
     assert "backend error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_a_base_url_that_is_not_http_exits_three_before_any_call(tmp_path, manifest_path,
+                                                                capsys, mode):
+    assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
+                "--backend-mode", mode, "--replay-dir", tmp_path / "r",
+                "--base-url", "file:///etc"]) == 3
+    assert capsys.readouterr().err == (f"backend error: {mode} mode requires an http or "
+                                       f"https base URL, not 'file'\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_live_transport_failure_fails_each_sentence_without_a_traceback(
+        tmp_path, manifest_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    monkeypatch.setattr("spokenud.backends.BACKOFF_BASE_S", 0.0)
+    assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
+                "--backend-mode", "live", "--base-url", "http://host:abc"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "parsed 0 sentences, 3 failures"
+    assert out[1:] == [f"  FAILED {sid} at SPH: transport failure: nonnumeric port: 'abc'"
+                       for sid in ("del1", "disc1", "fig2")]
 
 
 def test_config_replay_mode_needs_its_directory_only_to_build_the_backend(

@@ -330,8 +330,7 @@ BYTE_TARGETS = {
 def test_damaged_bytes_exit_with_one_line_naming_the_file(tmp_path, capsys, byte_inputs,
                                                           target):
     """Exit 0, or exit 1 or 3 with at most one stderr line, naming the damaged
-    file; only validate and parse report a failure on stdout alone. A config
-    refusal names the key it refuses instead (tests/test_config.py)."""
+    file; only validate and parse report a failure on stdout alone."""
     rng = random.Random(31)
     kind, is_json, command = BYTE_TARGETS[target]
     for noise in BYTE_NOISE if is_json else BYTE_NOISE[:-1]:
@@ -359,7 +358,7 @@ def test_damaged_bytes_exit_with_one_line_naming_the_file(tmp_path, capsys, byte
             where = (target, noise, case, lines)
             assert code in (0, 1, 3), where
             assert len(lines) <= 1, where
-            assert kind == "config" or all(str(path) in line for line in lines), where
+            assert all(str(path) in line for line in lines), where
             assert code == 0 or lines or argv[0] in ("validate", "parse"), where
             if argv[0] == "parse":  # all four outputs or none
                 written = [name for name in OUTPUTS if (work / "out" / name).exists()]

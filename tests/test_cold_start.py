@@ -1,9 +1,9 @@
 """What the program loads at start-up, each check in a fresh interpreter.
 
 ``eval``, ``validate`` and ``report`` never check a stage schema, hash a
-request or start a worker pool, so importing the command line and running
-them loads neither ``jsonschema``'s code, nor ``hashlib``, nor the thread
-pool. ``parse`` checks stage schemas and words their refusals without
+request, start a worker pool or open an HTTP connection, so importing the
+command line and running them loads neither ``jsonschema``'s code, nor
+``hashlib``, nor the thread pool, nor the HTTP client. ``parse`` checks stage schemas and words their refusals without
 loading ``jsonschema``'s code either, and its first check is safe when
 several worker threads make it at once.
 """
@@ -23,7 +23,7 @@ from spokenud.pipeline.prompts import STAGES
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).parent / "data"
 NOT_LOADED = ("jsonschema.validators", "jsonschema.exceptions", "hashlib", "_hashlib",
-              "concurrent.futures")
+              "concurrent.futures", "http.client", "urllib.request")
 GOLD = """\
 # sent_id = s1
 # category = simple-repetition

@@ -94,15 +94,15 @@ def test_out_of_range_value_names_its_key(tmp_path, document, key):
 
 
 def assert_config_error(tmp_path, capsys, document, message):
-    """``document`` as the user config is refused with ``message``, and the CLI
-    exits 1 printing it."""
+    """``document`` as the user config is refused with ``message`` after the
+    file's path, and the CLI exits 1 printing it."""
     user = tmp_path / "user.yaml"
     user.write_text(document, encoding="utf-8")
     with pytest.raises(ConfigError) as err:
         load_config(user)
-    assert str(err.value) == message
+    assert str(err.value) == f"{user}: {message}"
     assert main(["--config", str(user), "validate", str(user)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {user}: {message}\n"
 
 
 @pytest.mark.parametrize("document, message", [
@@ -145,7 +145,7 @@ def test_out_of_range_backend_or_retry_setting_exits_one_naming_the_key(
                      "--out", out, "--backend-mode", "live",
                      "--base-url", "http://127.0.0.1:1"]):
         assert main(["--config", user, *command]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {user}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -225,7 +225,7 @@ def test_backend_string_setting_of_another_type_exits_one_naming_the_key(
     assert main(["--config", str(tmp_path / "user.yaml"), "parse", "--manifest",
                  str(pipeline_manifest_path), "--out", str(tmp_path / "o"),
                  "--backend-mode", "replay", "--replay-dir", str(replay_dir)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'user.yaml'}: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

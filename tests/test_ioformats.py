@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from spokenud.core import ROOT, Category, NodeId, SpokenUdError, Token, UnknownCategory
+from spokenud.core import (ROOT, Category, NodeId, SpokenUdError, Token, UnknownCategory,
+                           breaks_cell)
 from spokenud.ioformats import (
     CategoryCountMismatch,
     DuplicateSentenceId,
@@ -312,6 +313,56 @@ def test_load_manifest_rejects_a_lone_surrogate_naming_path_and_line(tmp_path, f
         f"{path}: line 2: token form must be non-empty without a lone surrogate, "
         f"found 'v\\ud800a'" if field == "form" else
         f"{path}: line 2: sentence_id must not hold a lone surrogate, found 's\\ud800'")
+
+
+CONTROLS = ["\x00", "\x07", "\x1f", "\x7f", "\ufeff"]
+
+
+@pytest.mark.parametrize("char", CONTROLS + ["\x0b", "\x0c"])
+def test_breaks_cell_refuses_a_control_character(char):
+    assert breaks_cell(f"a{char}b") == f"a control character U+{ord(char):04X}"
+    assert breaks_cell(f"a{char}b\t") == "a tab or line break"  # the tab is named first
+
+
+@pytest.mark.parametrize("text", ["", "abc", "é中 \U0001f600", "a\xa0b\u2028", "\x85", "\u200b"])
+def test_breaks_cell_passes_printable_text_and_other_spaces(text):
+    assert breaks_cell(text) == ""
+
+
+@pytest.mark.parametrize("char", CONTROLS)
+def test_conllu_reader_refuses_a_control_character_naming_its_line(char):
+    text = TWO_TOKEN.replace("hello", f"hel{char}lo")
+    with pytest.raises(MalformedLine) as err:
+        parse_conllu(text)
+    assert str(err.value) == (f"line 2: a control character U+{ord(char):04X}: "
+                              f"{text.splitlines()[1]!r}")
+
+
+@pytest.mark.parametrize("char", CONTROLS)
+def test_sheet_reader_refuses_a_control_character_naming_its_line(char):
+    lines = emit_sheet(parse_conllu(TWO_TOKEN)).split("\n")
+    lines[2] = lines[2].replace("world", f"wor{char}ld")
+    with pytest.raises(MalformedLine) as err:
+        parse_sheet("\n".join(lines))
+    assert str(err.value) == f"line 3: a control character U+{ord(char):04X}: {lines[2]!r}"
+
+
+@pytest.mark.parametrize("field", ["sentence_id", "form"])
+def test_load_manifest_rejects_a_control_character_naming_path_and_line(tmp_path, field):
+    obj = json.loads(manifest_line("b"))
+    if field == "form":
+        obj["tokens"][1]["form"] = "v\x07a"
+    else:
+        obj["sentence_id"] = "s\x00"
+    path = tmp_path / "m.jsonl"
+    path.write_text(manifest_line("a") + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == (
+        f"{path}: line 2: token form must be non-empty without a control character "
+        f"U+0007, found 'v\\x07a'" if field == "form" else
+        f"{path}: line 2: sentence_id must not hold a control character U+0000, "
+        f"found 's\\x00'")
 
 
 def test_emit_conllu_refuses_a_lone_surrogate_sent_id():

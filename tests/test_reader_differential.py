@@ -6,14 +6,18 @@ foreign and repeated MISC items, out-of-range or unreadable MISC values,
 whitespace-only separators and carriage returns, 9 or 11 columns, bad ids
 and heads, range lines and comment lines. Both readers must return equal
 sentences (with equal ``repr``, so dict order counts too), or raise the same
-exception type with the same message.
+exception type with the same message. The one exception: a text holding a
+control character (``core.CONTROL_CHARACTER``; the generator makes separator
+lines of ``\x0b`` and ``\x1c``) is refused by the reader, naming the line of
+the first one, where the reference read on.
 """
 
 import random
 
 import pytest
 
-from spokenud.ioformats import emit_conllu, parse_conllu
+from spokenud.core import CONTROL_CHARACTER
+from spokenud.ioformats import MalformedLine, emit_conllu, parse_conllu
 
 import block_reader_reference as reference
 from gen import random_sentence
@@ -85,22 +89,41 @@ def read(parse, text):
     return sentences, repr(sentences)
 
 
+def assert_control_character_refused(text):
+    """The reader refuses ``text``, naming the line of its first control character."""
+    found = CONTROL_CHARACTER.search(text)
+    line_no = text.count("\n", 0, found.start()) + 1
+    with pytest.raises(MalformedLine) as err:
+        parse_conllu(text)
+    assert str(err.value) == (f"line {line_no}: a control character "
+                              f"U+{ord(found.group()):04X}: {text.split(chr(10))[line_no - 1]!r}")
+
+
 def test_reader_equals_the_block_reader_on_mutated_lines():
     rng = random.Random(29)
-    refused = 0
+    refused = controls = 0
     for case in range(CASES):
         text = mutated_text(rng, case)
+        if CONTROL_CHARACTER.search(text):
+            assert_control_character_refused(text)
+            refused, controls = refused + 1, controls + 1
+            continue
         expected = read(reference.parse_conllu, text)
         assert read(parse_conllu, text) == expected, text
         refused += isinstance(expected[0], type)
     # The mutations must reach both outcomes, or the test checks little.
     assert 0.2 < refused / CASES < 0.8, refused
+    assert 0 < controls < 0.2 * CASES, controls
 
 
 @pytest.mark.parametrize("separator", SEPARATORS[1:])
 def test_whitespace_only_lines_separate_blocks(separator):
+    """Except a line of a control character (\\x0b, \\x1c), which is refused."""
     row = "1\ta\t_\tNOUN\t_\t_\t0\troot\t_\t_"
     text = f"# sent_id = a\n{row}\n{separator}\n# sent_id = b\n{row}\n{separator}"
+    if CONTROL_CHARACTER.search(separator):
+        assert_control_character_refused(text)
+        return
     assert read(parse_conllu, text) == read(reference.parse_conllu, text)
     assert [s.sentence_id for s in parse_conllu(text)] == ["a", "b"]
 

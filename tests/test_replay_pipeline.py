@@ -1,10 +1,14 @@
 """End-to-end pipeline runs over the recorded fixtures (no live model)."""
 
-from spokenud.backends import ReplayMiss, make_backend
+import json
+from pathlib import Path
+
+from spokenud.backends import ReplayMiss, ReplayStore, make_backend
 from spokenud.config import load_config
 from spokenud.core import NodeId, validate_tree
 from spokenud.ioformats import load_manifest, manifest_entry_to_input_sentence
-from spokenud.pipeline import SentenceFailure, induced_sentence, parse_sentence, run_batch
+from spokenud.pipeline import (SentenceFailure, induced_sentence, parse_sentence, run_batch,
+                               seed_replay_store)
 
 from pipeline_helpers import sheet_rows
 
@@ -75,3 +79,26 @@ def test_missing_replay_file_fails_loudly(replay_dir, pipeline_manifest_path, tm
     assert isinstance(result, SentenceFailure)
     assert result.stage == "SPH"
     assert "no recorded response" in result.error
+
+
+def test_an_empty_core_lemma_keeps_the_lsr_lemma(tmp_path, pipeline_manifest_path):
+    """Core's LEMMA wins when it is non-empty; an empty or null one falls back
+    to LSR's lemma, and a row with neither has none."""
+    scripts = Path(__file__).parent / "data" / "replay_scripts"
+    responses = {stage: json.loads((scripts / f"fig2.{stage}.json").read_text("utf-8"))
+                 for stage in ("sph", "lsr", "core")}
+    core = {row["proposed_ID"]: row for row in responses["core"]["annotated_tokens"]}
+    lsr = {row["proposed_ID"]: row for row in responses["lsr"]["tokens"]}
+    core["2"]["LEMMA"], core["9"]["LEMMA"] = "", None  # LSR: "then", "buy"
+    core["10"]["LEMMA"] = lsr["10"]["lemma"] = ""
+    core["1"]["LEMMA"] = "luego"  # LSR: "entonces"
+    config = replay_config(tmp_path)
+    entry = next(e for e in load_manifest(pipeline_manifest_path).entries
+                 if e.sentence_id == "fig2")
+    sentence = manifest_entry_to_input_sentence(entry)
+    seed_replay_store(ReplayStore(tmp_path), sentence,
+                      {stage: json.dumps(obj) for stage, obj in responses.items()},
+                      config.backend.model_name, mwe_whitelist=config.mwe_whitelist)
+    parse = parse_sentence(sentence, make_backend(config.backend), config)
+    lemmas = {str(token.id): token.lemma for token in induced_sentence(parse).tokens}
+    assert (lemmas["1"], lemmas["2"], lemmas["9"], lemmas["10"]) == ("luego", "then", "buy", None)
