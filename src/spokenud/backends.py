@@ -49,7 +49,6 @@ class ReplayMiss(BackendError):
 
 BACKEND_MODES = ("live", "record", "replay", "stub")
 MAX_WORKERS = 32  # calls in flight, one per worker; 50 ms calls scale linearly to 16
-BACKOFF_BASE_S = 1.0  # a live call's retries wait 1 s, 2 s, 4 s, ...
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ class StubBackend:
 
 
 class LiveBackend:
-    """One chat-completion HTTP round trip with exponential backoff."""
+    """One chat-completion HTTP round trip; retries wait 1 s, 2 s, 4 s, ..."""
 
     RETRYABLE_STATUS = (429, 500, 502, 503, 504)
 
@@ -172,20 +171,19 @@ class LiveBackend:
             "temperature": self.config.temperature,
             "max_tokens": self.config.max_tokens,
         }).encode("utf-8")
-        headers = {"Content-Type": "application/json", "User-Agent": f"spokenud/{__version__}",
-                   "Authorization": f"Bearer {token}"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"spokenud/{__version__}"}
+        statuses = urllib.request.HTTPErrorProcessor()  # every status comes back as a reply:
+        statuses.http_response = statuses.https_response = lambda request, reply: reply
+        opener = urllib.request.build_opener(statuses)  # so no redirect is followed
         url = self.config.base_url.rstrip("/") + "/chat/completions"
         last_error: BackendError | None = None
         for attempt in range(self.config.retries + 1):
             if attempt:
-                time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+                time.sleep(2 ** (attempt - 1))
             try:  # the Request too: a bad URL or header raises ValueError
                 request = urllib.request.Request(url, body, headers, method="POST")
-                try:
-                    reply = urllib.request.urlopen(request, timeout=self.config.timeout_s)
-                except urllib.error.HTTPError as err:  # a status other than 2xx
-                    reply = err
-                with reply:
+                request.add_unredirected_header("Authorization", f"Bearer {token}")
+                with opener.open(request, timeout=self.config.timeout_s) as reply:
                     status, raw = reply.status, reply.read()
             except (OSError, http.client.HTTPException, ValueError) as err:
                 reason = err.reason if isinstance(err, urllib.error.URLError) else err
@@ -209,16 +207,11 @@ class LiveBackend:
         raise last_error if last_error else BackendError("request failed")
 
 
-class RecordBackend:
-    def __init__(self, config: BackendConfig):
-        self._live = LiveBackend(config)
-        self._store = ReplayStore(config.replay_dir)
-        self._model = config.model_name
-
+class RecordBackend(LiveBackend):
     def complete(self, system_prompt: str, user_prompt: str, key: str) -> str:
-        fingerprint = request_fingerprint(system_prompt, user_prompt, self._model)
-        raw = self._live.complete(system_prompt, user_prompt, key)
-        self._store.save(key, fingerprint, raw)
+        raw = super().complete(system_prompt, user_prompt, key)
+        fingerprint = request_fingerprint(system_prompt, user_prompt, self.config.model_name)
+        ReplayStore(self.config.replay_dir).save(key, fingerprint, raw)
         return raw
 
 
@@ -243,7 +236,7 @@ def make_backend(config: BackendConfig):
         raise BackendError(f"{config.mode} mode requires a replay directory")
     if config.mode != "replay" and not config.base_url:
         raise BackendError(f"{config.mode} mode requires a base URL")
-    if config.mode != "replay" and urlsplit(config.base_url).scheme not in ("http", "https"):
-        raise BackendError(f"{config.mode} mode requires an http or https base URL, not "
-                           f"{urlsplit(config.base_url).scheme!r}")  # urllib opens file: too
+    if config.mode != "replay" and (scheme := urlsplit(config.base_url)[0]) not in (
+            "http", "https"):  # urllib would open file: and ftp: too
+        raise BackendError(f"{config.mode} mode requires an http or https base URL, not {scheme!r}")
     return backend(config)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import socket
 import sys
@@ -136,6 +137,7 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
     status_queue: list = []
     payload_queue: list = []  # completion payloads (bytes sent as they are) instead of the echo
     delay_s = 0.0  # how long each request waits before it is answered
+    location = None  # the Location header of a status other than 200
     calls: list = []
     headers_seen: list = []
 
@@ -149,6 +151,8 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
         status = self.status_queue.pop(0) if self.status_queue else 200
         if status != 200:
             self.send_response(status)
+            if self.location:
+                self.send_header("Location", self.location)
             self.end_headers()
             return
         prompt = body["messages"][1]["content"]
@@ -167,20 +171,46 @@ class _MockCompletionHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """Records the method and headers of every request; answers each with 200."""
+    seen: list = []
+
+    def _record(self):
+        type(self).seen.append((self.command, dict(self.headers)))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_POST = _record
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    """The URL of a local HTTP server answering with ``handler``, stopped on exit."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 @pytest.fixture
 def mock_server():
     _MockCompletionHandler.status_queue = []
     _MockCompletionHandler.payload_queue = []
     _MockCompletionHandler.delay_s = 0.0
+    _MockCompletionHandler.location = None
     _MockCompletionHandler.calls = []
     _MockCompletionHandler.headers_seen = []
-    server = HTTPServer(("127.0.0.1", 0), _MockCompletionHandler)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
-                              daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    with _serving(_MockCompletionHandler) as url:
+        yield url
 
 
 def test_live_round_trip(mock_server, monkeypatch):
@@ -272,6 +302,27 @@ def test_make_backend_refuses_a_base_url_that_is_not_http(tmp_path, mode, base_u
         make_backend(config)
     assert str(err.value) == (f"{mode} mode requires an http or https base URL, "
                               f"not {scheme!r}")
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+@pytest.mark.parametrize("scheme", ["http", "ftp"])
+def test_live_redirect_is_not_followed_so_the_token_stays_home(mock_server, monkeypatch,
+                                                               status, scheme):
+    """A 3xx ends as HttpStatus after one call: neither the prompt nor the token
+    reaches where it points, be it another host or a scheme make_backend refuses."""
+    monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
+    _RecordingHandler.seen = []
+    with _serving(_RecordingHandler) as elsewhere:
+        _MockCompletionHandler.status_queue = [status]
+        _MockCompletionHandler.location = (elsewhere.replace("http", scheme, 1)
+                                           + "/v1/chat/completions")
+        config = BackendConfig(mode="live", base_url=mock_server, timeout_s=5)
+        with pytest.raises(HttpStatus) as err:
+            make_backend(config).complete("sys", "ping", "s1.sph")
+    assert err.value.code == status
+    assert len(_MockCompletionHandler.calls) == 1
+    assert _MockCompletionHandler.headers_seen[0]["Authorization"] == "Bearer test-token"
+    assert _RecordingHandler.seen == []
 
 
 def test_live_fatal_status_raises(mock_server, monkeypatch):

@@ -468,7 +468,7 @@ def test_a_base_url_that_is_not_http_exits_three_before_any_call(tmp_path, manif
 def test_a_live_transport_failure_fails_each_sentence_without_a_traceback(
         tmp_path, manifest_path, capsys, monkeypatch):
     monkeypatch.setenv("SPOKENUD_API_KEY", "test-token")
-    monkeypatch.setattr("spokenud.backends.BACKOFF_BASE_S", 0.0)
+    monkeypatch.setattr("spokenud.backends.time.sleep", lambda seconds: None)
     assert run(["parse", "--manifest", manifest_path, "--out", tmp_path / "o",
                 "--backend-mode", "live", "--base-url", "http://host:abc"]) == 1
     out = capsys.readouterr().out.splitlines()
