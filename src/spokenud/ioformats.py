@@ -95,7 +95,10 @@ def _token_misc(token: Token) -> str:
     if token.penalty:
         parts.append(f"Penalty={format_score(token.penalty)}")
     if token.notes:
-        parts.append(f"Notes={urllib.parse.quote(token.notes, safe='')}")
+        try:
+            parts.append(f"Notes={urllib.parse.quote(token.notes, safe='')}")
+        except UnicodeEncodeError:  # UTF-8 holds no lone surrogate
+            raise SpokenUdError(f"a lone surrogate inside the notes of token {token.id}") from None
     return "|".join(parts) if parts else "_"
 
 
@@ -138,13 +141,12 @@ def parse_conllu(text: str) -> list[Sentence]:
     call, and each distinct FORM, LEMMA, UPOS and DEPREL value is one shared
     str; every Token gets its own confidences dict.
     """
-    _refuse_control_characters(text)
     sentences: list[Sentence] = []
     misc_memo: dict[str, tuple] = {}
     share_form, share = {}.setdefault, {"_": None}.setdefault  # "_" reads as None
     parse_id = NodeId.parse
     in_block = False
-    for line_no, line in enumerate([*text.split("\n"), ""], start=1):  # "" ends a block
+    for line_no, line in enumerate([*_lines(text), ""], start=1):  # "" ends a block
         if not line or line.isspace():
             if in_block:
                 if comments:
@@ -208,11 +210,16 @@ def parse_conllu(text: str) -> list[Sentence]:
     return sentences
 
 
-def _refuse_control_characters(text: str) -> None:
-    """Refuse ``text`` if it holds a ``CONTROL_CHARACTER``, naming the first one's line."""
+def _lines(text: str) -> list[str]:
+    """``text`` split as a file opened as text splits it, at ``\n``, ``\r\n``
+    and ``\r``; a ``CONTROL_CHARACTER`` is refused, naming the first one's line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if found := CONTROL_CHARACTER.search(text):
         line_no = text.count("\n", 0, found.start()) + 1
-        raise MalformedLine(line_no, text.split("\n")[line_no - 1], breaks_cell(found.group()))
+        raise MalformedLine(line_no, lines[line_no - 1], breaks_cell(found.group()))
+    return lines
 
 
 def emit_conllu(sentences: Iterable[Sentence]) -> str:
@@ -263,10 +270,11 @@ def _emit_token_line(token: Token) -> str:
         "_",
         _token_misc(token),
     )
-    line = "\t".join(columns)
-    if line.count("\t") != CONLLU_COLUMNS - 1 or "\n" in line or "\r" in line:
-        raise SpokenUdError(f"tab or line break inside a cell of token {token.id}: {line!r}")
-    return line
+    if not "".join(columns).isprintable():  # else no cell holds what breaks_cell finds
+        for cell in columns:
+            if fault := breaks_cell(cell):
+                raise SpokenUdError(f"{fault} inside a cell of token {token.id}: {cell!r}")
+    return "\t".join(columns)
 
 
 # --- sheet table ------------------------------------------------------------
@@ -356,11 +364,11 @@ def format_sheet_row(row: SheetRow) -> str:
         format_score(row.penalty),
         row.adjudication_note,
     )
-    line = "\t".join(cells)
-    if line.count("\t") != len(cells) - 1 or "\n" in line or "\r" in line:
-        cell = next(cell for cell in cells if breaks_cell(cell))
-        raise SpokenUdError(f"tab or line break inside sheet cell: {cell!r}")
-    return line
+    if not "".join(cells).isprintable():  # else no cell holds what breaks_cell finds
+        for cell in cells:
+            if fault := breaks_cell(cell):
+                raise SpokenUdError(f"{fault} inside sheet cell: {cell!r}")
+    return "\t".join(cells)
 
 
 def parse_sheet(text: str) -> list[Sentence]:
@@ -369,8 +377,7 @@ def parse_sheet(text: str) -> list[Sentence]:
     Verifies the fixed header, per-sentence sheet id contiguity, and that
     every HEAD string equals the FORM of the row its sheet_HEAD_ID points to.
     """
-    _refuse_control_characters(text)
-    lines = text.split("\n")
+    lines = _lines(text)
     if not lines or lines[0].split("\t") != list(SHEET_COLUMNS):
         raise HeaderMismatch(f"sheet header does not match: {lines[0]!r}")
     groups: list[tuple[str, list[tuple[int, list[str]]]]] = []

@@ -305,9 +305,6 @@ def validate_sph(envelope: SphOutput, input_sentence: Sentence) -> list[str]:
         violations.append(
             f"sentence_id {envelope.sentence_id!r} does not match input "
             f"{input_sentence.sentence_id!r}")
-    if not tokens:
-        violations.append("token list is empty")
-        return violations
 
     ids = [t.proposed_id for t in tokens]
     if len(set(ids)) != len(ids):
@@ -464,6 +461,8 @@ def apply_mwe_whitelist(envelope: LsrOutput,
 
     Case-insensitive contiguous form matches over integer rows gain a dotted
     node; spans already covered by one are left alone. Deterministic, logged.
+    The envelope has passed ``validate_lsr``, so its integer ids run 1..n in
+    list order and adjacent rows hold adjacent ids.
     """
     from .edits import make_dotted_mwe
 
@@ -500,9 +499,6 @@ def _find_span(integers, parts, covered):
             continue
         if any(t.proposed_id in covered for t in window):
             continue
-        majors = [t.proposed_id.major for t in window]
-        if majors != list(range(majors[0], majors[0] + len(parts))):
-            continue
         return tuple(t.proposed_id for t in window)
     return None
 
@@ -522,12 +518,10 @@ _WRITERS = {str: _quote, int: int.__repr__, type(None): {None: "null"}.__getitem
 
 
 def _json_text(value, newline: str) -> str:
-    """``value`` as json.dumps writes it after ``newline`` and its indent: an
-    exact scalar type or a list, tuple or str-keyed dict here, in json's
-    isinstance order, and anything else by json.dumps itself."""
-    writer = _WRITERS.get(type(value))
-    if writer is not None:
-        return writer(value)
+    """``value`` as json.dumps writes it after ``newline`` and its indent: a
+    list, tuple or str-keyed dict here, in json's isinstance order, each exact
+    scalar type among its items by ``_WRITERS``, and anything else by
+    json.dumps itself."""
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         return "[" + inner + ("," + inner).join([

@@ -125,23 +125,15 @@ def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput) -> FinalParse:
 
 def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
                 log: list) -> list[_Row]:
+    for stage, tokens in (("LSR", lsr.tokens), ("Core", core.tokens)):
+        counts = Counter(t.proposed_id for t in tokens)
+        if len(counts) < len(tokens):  # the stage validators refuse this first
+            raise IrreconcilableEnvelopes(f"{stage} envelope repeats node ids: " + ", ".join(
+                str(node) for node, count in counts.items() if count > 1))
     sph_conf = {t.proposed_id: t.sph_confidence for t in sph.tokens}
-    core_by_id: dict[NodeId, CoreToken] = {}
-    for token in core.tokens:
-        if token.proposed_id in core_by_id:
-            log.append(f"merge[duplicate]: dropped duplicate Core row "
-                       f"{token.proposed_id}")
-            continue
-        core_by_id[token.proposed_id] = token
-
+    core_by_id: dict[NodeId, CoreToken] = {t.proposed_id: t for t in core.tokens}
     rows: list[_Row] = []
-    seen: set[NodeId] = set()
     for token in lsr.tokens:
-        if token.proposed_id in seen:
-            log.append(f"merge[duplicate]: dropped duplicate node "
-                       f"{token.proposed_id}")
-            continue
-        seen.add(token.proposed_id)
         annotated = core_by_id.get(token.proposed_id)
         rows.append(_Row(
             id=token.proposed_id,
@@ -162,7 +154,7 @@ def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
             lsr_conf=token.lsr_confidence,
             core_conf=annotated.confidence if annotated else None,
         ))
-    for node in sorted(set(core_by_id) - seen, key=lambda n: n._key()):
+    for node in sorted(set(core_by_id) - {row.id for row in rows}, key=lambda n: n._key()):
         log.append(f"merge[unknown-id]: ignored Core row {node} absent from "
                    f"the resolved token list")
     return rows
@@ -344,13 +336,10 @@ def enforce_single_root_rows(rows: list[_Row], log: list) -> _Row:
 
 def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
     """Reattach the lowest-confidence member of each head-link cycle to the
-    root with DEPREL "dep" until the graph is acyclic. Terminates within one
-    pass per node."""
+    root with DEPREL "dep" until the graph is acyclic. Each pass breaks one
+    cycle and makes none, since the root heads to ROOT and so is in no cycle."""
     present = {row.id for row in rows}
-    for _ in range(len(rows) + 1):
-        cycles = head_cycles(rows, present)
-        if not cycles:
-            return
+    while cycles := head_cycles(rows, present):
         members = [row for row in rows if row.id in cycles[0]]
         victim = min(members,
                      key=lambda r: (_combined_confidence(r), r.id._key()))
@@ -361,7 +350,6 @@ def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
         _repair(victim, log, "cycle broken: reattached to root",
                 f"cycle]: cycle {{{confidences}}}; reattached "
                 f"lowest-confidence node {victim.id} to root {root.id}")
-    raise AssertionError("cycle repair did not terminate within the node budget")
 
 
 def _final_token(row: _Row) -> Token:

@@ -19,14 +19,9 @@ class Table:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)] + [",".join(map(_csv_cell, row)) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-
-def _csv_cell(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+        # No cell needs quoting: each is a column name, a category label,
+        # "Overall", "-" or a formatted number.
+        return "\n".join(",".join(row) for row in (self.columns, *self.rows)) + "\n"
 
 
 @dataclass(frozen=True)

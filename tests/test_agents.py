@@ -20,7 +20,7 @@ from spokenud.pipeline import (
     seed_replay_store,
 )
 from spokenud.pipeline.envelopes import build_id_map
-from spokenud.pipeline.prompts import STAGES
+from spokenud.pipeline.prompts import STAGES, render_prompt, stage_schema
 
 from pipeline_helpers import core_from, core_payload, input_sentence, sheet_rows, sph_lsr
 
@@ -175,6 +175,17 @@ def test_a_cell_with_a_control_character_is_a_violation(config, stage, key):
             in result.violations)
 
 
+def test_a_dotted_node_over_a_row_that_does_not_exist_is_a_violation(config):
+    sph = json.loads(canned("t4", ["a", "b"], annotations=[])["sph"])
+    sph["tokens"].append({**sph["tokens"][0], "proposed_ID": "1.1", "split_token": "a_b_c",
+                          "mwe": True})
+    sph["proposed_id_map"]["1"].append("1.1")
+    backend = StubBackend(script=lambda system, user, key: json.dumps(sph))
+    with pytest.raises(SchemaViolation) as err:
+        run_agent("sph", input_sentence("t4", ["a", "b"]), backend, config)
+    assert err.value.violations == ["dotted node 1.1 spans missing rows [3]"]
+
+
 def test_lsr_removing_sph_split_is_rejected(config):
     sid = "t2"
     sph, _ = sph_lsr(sid, ["do", "not", "go"])
@@ -318,6 +329,19 @@ def test_a_ref_without_a_defs_entry_fails_when_compiled():
               "$defs": {"here": {"type": "string"}}}
     with pytest.raises(SpokenUdError, match=r"test schema: no \$defs entry for \$ref 'gone'"):
         agents._compile("test", schema)
+
+
+def test_a_subschema_that_is_not_an_object_fails_when_compiled():
+    # Valid draft 2020-12, but the compiled subset takes object subschemas only.
+    with pytest.raises(SpokenUdError, match="^test schema: unsupported subschema True$"):
+        agents._compile("test", {"type": "object", "properties": {"a": True}})
+
+
+@pytest.mark.parametrize("stage_data", [stage_schema, lambda stage: render_prompt(stage, "{}")],
+                         ids=["schema", "prompt"])
+def test_an_unknown_stage_is_refused(stage_data):
+    with pytest.raises(ValueError, match="^unknown stage 'pos'$"):
+        stage_data("pos")
 
 
 def test_an_integer_too_long_to_convert_is_retried_not_raised():

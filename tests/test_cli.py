@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from spokenud.cli import main
-from spokenud.ioformats import emit_conllu, parse_conllu, parse_sheet
+from spokenud.ioformats import SHEET_COLUMNS, emit_conllu, parse_conllu, parse_sheet
 
 DATA = Path(__file__).parent / "data"
 GOLD = DATA / "gold" / "fixture_corpus.conllu"
@@ -41,6 +41,14 @@ def test_validate_reads_a_crlf_file(tmp_path, capsys):
     crlf.write_bytes(GOLD.read_bytes().replace(b"\n", b"\r\n"))
     assert run(["validate", crlf]) == 0
     assert "30 sentences, 0 with issues" in capsys.readouterr().out
+
+
+def test_validate_refuses_a_sheet_row_with_too_few_columns(tmp_path, capsys):
+    sheet = tmp_path / "short.tsv"
+    sheet.write_text("\t".join(SHEET_COLUMNS) + "\ns1\t1\n", encoding="utf-8")
+    assert run(["validate", sheet]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line 2: expected 15 columns, got 2: 's1\\t1' in {sheet}\n")
 
 
 def test_validate_two_root_sentence_exit_one(tmp_path, capsys):
@@ -170,6 +178,20 @@ def test_eval_two_unnamed_sentences_exit_one(tmp_path, capsys):
     assert run(["eval", "--gold", gold, "--system", gold,
                 "--out", tmp_path / "o"]) == 1
     assert f"duplicate sentence id: <unnamed> in {gold}" in capsys.readouterr().err
+
+
+def test_eval_of_two_empty_files_writes_tables_of_zeros(tmp_path, capsys):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["eval", "--gold", empty, "--system", empty, "--out", out]) == 0
+    assert "evaluated 0 sentences" in capsys.readouterr().out
+    assert (out / "per_sentence.jsonl").read_text("utf-8") == ""
+    for name, overall in (("standard", "Overall,0.00,0.00,0.00,0.00"),
+                          ("flexud", "Overall,0.0,0.0,0.0,0.0,0.0")):
+        rows = (out / f"{name}_by_category.csv").read_text("utf-8").splitlines()
+        assert rows[-1] == overall
+        assert all(row.endswith(",-,-,-,-") for row in rows[1:-1])
 
 
 def test_eval_one_unnamed_sentence_still_works(tmp_path, capsys):

@@ -126,6 +126,13 @@ def test_non_numeric_value_exits_one_naming_key_and_value(tmp_path, capsys,
     assert_config_error(tmp_path, capsys, document, message)
 
 
+def test_a_negative_weight_exits_one_although_the_weights_sum_to_one(tmp_path, capsys):
+    assert_config_error(
+        tmp_path, capsys,
+        "evaluation:\n  weights: {split: -0.1, id: 0.25, upos: 0.2, head: 0.4, deprel: 0.25}\n",
+        "negative weight in (-0.1, 0.25, 0.2, 0.4, 0.25)")
+
+
 @pytest.mark.parametrize("document, message", [
     ("backend: {mode: bogus}\n",
      "backend.mode: expected one of live, record, replay, stub, got 'bogus'"),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,11 +9,13 @@ from spokenud.pipeline import (
     OverlappingMwe,
     SpanTooShort,
     SplitOnDottedNode,
+    SplitTargetMissing,
     apply_integer_shift,
+    apply_mwe_whitelist,
     build_id_map,
     make_dotted_mwe,
 )
-from spokenud.pipeline.envelopes import PipelineToken
+from spokenud.pipeline.envelopes import LsrOutput, PipelineToken
 
 
 def toks(*forms):
@@ -93,6 +96,33 @@ def test_make_dotted_mwe_you_know():
 def test_mwe_span_too_short():
     with pytest.raises(SpanTooShort):
         make_dotted_mwe(toks("a", "b"), [NodeId(1)])
+
+
+def test_split_of_an_index_no_token_has():
+    with pytest.raises(SplitTargetMissing, match="^no token has original index 3$"):
+        apply_integer_shift(toks("a", "b"), 3, ["x", "y"])
+
+
+@pytest.mark.parametrize("span, error, message", [
+    ([(1,), (1, 1)], SpanTooShort, "MWE spans cover integer nodes only"),
+    ([(1,), (3,)], SpanTooShort, "MWE span must be contiguous, got [1, 3]"),
+    ([(3,), (4,)], SpanTooShort, "MWE span references missing nodes [NodeId(major=4, minor=None)]"),
+    ([(1,), (2,)], OverlappingMwe, "dotted node 1.1 already exists"),
+], ids=["dotted", "gap", "missing", "existing"])
+def test_mwe_span_refusals(span, error, message):
+    tokens, _ = make_dotted_mwe(toks("a", "b", "c"), [NodeId(1), NodeId(2)])
+    with pytest.raises(error) as err:
+        make_dotted_mwe(tokens, [NodeId(*node) for node in span])
+    assert str(err.value) == message
+
+
+def test_a_whitelist_mwe_over_two_languages_is_mixed():
+    tokens = tuple(replace(token, lang_tag=lang)
+                   for token, lang in zip(toks("you", "know", "pues"), ["eng", "spa", "spa"]))
+    lsr = LsrOutput(sentence_id="w", tokens=tokens, id_map=build_id_map(tokens))
+    combined, _ = apply_mwe_whitelist(lsr, ["you know"])
+    assert [(str(t.proposed_id), t.lang_tag) for t in combined.tokens] == [
+        ("1", "eng"), ("2", "spa"), ("1.1", "mixed"), ("3", "spa")]
 
 
 def test_mwe_overlap_rejected():

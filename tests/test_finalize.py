@@ -172,6 +172,19 @@ def test_mismatched_sentence_ids_rejected():
         finalize(sph, lsr, core)
 
 
+@pytest.mark.parametrize("stage", ["LSR", "Core"])
+def test_a_repeated_node_id_is_refused_naming_it(stage):
+    sph, lsr = sph_lsr("r", ["x", "y"])
+    core = core_from("r", [("1", "VERB", "0", "root"), ("2", "NOUN", "1", "obj")],
+                     forms=["x", "y"])
+    if stage == "LSR":
+        lsr = replace(lsr, tokens=lsr.tokens + lsr.tokens[1:])
+    else:
+        core = replace(core, tokens=core.tokens + core.tokens[1:])
+    with pytest.raises(IrreconcilableEnvelopes, match=f"^{stage} envelope repeats node ids: 2$"):
+        finalize(sph, lsr, core)
+
+
 def test_component_annotations_stripped():
     sph, lsr = sph_lsr("sm", ["pitta", "bread", "ok"])
     from spokenud.pipeline import make_dotted_mwe

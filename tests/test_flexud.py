@@ -111,6 +111,22 @@ def test_align_matching_dotted_nodes_one_one():
     assert all(l.kind == "one_one" for l in alignment.links)
 
 
+def test_a_system_dotted_node_partners_one_gold_dotted_node_only():
+    # Gold repeats the dotted node over rows 1-2 (1.1 and 1.2); the system has one.
+    span = (Token(id=NodeId(1), form="pitta"), Token(id=NodeId(2), form="bread"))
+    dotted = [Token(id=NodeId(1, minor), form="pitta_bread") for minor in (1, 2)]
+    gold = Sentence("d", span + tuple(dotted))
+    system = Sentence("d", span + (dotted[0],))
+    links = [([str(n) for n in link.gold_ids], [str(n) for n in link.system_ids], link.kind)
+             for link in align_tokens(gold, system).links]
+    assert links == [(["1", "1.2", "2"], ["1", "2"], "mwe"), (["1.1"], ["1.1"], "one_one")]
+
+
+def test_a_link_of_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="^unknown link kind 'two_two'$"):
+        AlignmentLink((NodeId(1),), (NodeId(1),), "two_two")
+
+
 def test_alignment_totality_random_perturbations():
     rng = random.Random(11)
     for i in range(150):

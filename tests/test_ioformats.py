@@ -2,9 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spokenud.core import (ROOT, Category, NodeId, SpokenUdError, Token, UnknownCategory,
-                           breaks_cell)
+from spokenud.core import (ROOT, Category, NodeId, Sentence, SpokenUdError, Token,
+                           UnknownCategory, breaks_cell)
 from spokenud.ioformats import (
     CategoryCountMismatch,
     DuplicateSentenceId,
@@ -100,6 +102,68 @@ def test_emit_conllu_refuses_what_its_reader_could_not_read_back(sid, token):
     from spokenud.core import Sentence
     with pytest.raises(SpokenUdError, match="tab or line break inside"):
         emit_conllu([Sentence(sentence_id=sid, tokens=(token,))])
+
+
+@pytest.mark.parametrize("emit", [emit_conllu, emit_sheet], ids=["conllu", "sheet"])
+def test_writers_refuse_a_control_character_their_readers_refuse(emit):
+    token = Token(id=NodeId(1), form="he\x07llo", head=ROOT, deprel="root")
+    with pytest.raises(SpokenUdError) as err:
+        emit([random_wrap(token)])
+    assert str(err.value).startswith("a control character U+0007 inside ")
+    assert str(err.value).endswith(" 'he\\x07llo'")
+
+
+# One cell's characters: C0 controls (tab, LF and CR among them), DEL, a BOM
+# and lone surrogates, or characters the readers keep, among them NEL and
+# U+2028, where str.splitlines would end a line.
+CELL = st.text(st.sampled_from([chr(c) for c in range(0x20)] + ["\x7f", "\ufeff", "\ud800", "\udfff"])
+               | st.sampled_from([" ", "a", "é", "\xa0", "\x85", "\u2028"]), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("emit, parse", [(emit_conllu, parse_conllu), (emit_sheet, parse_sheet)],
+                         ids=["conllu", "sheet"])
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(field=st.sampled_from(["sid", "form", "lemma", "upos", "deprel", "notes"]), cell=CELL)
+def test_a_writer_refuses_a_cell_or_its_reader_gives_the_sentence_back(emit, parse, field, cell):
+    cells = {"sid": "s", "form": "a", "lemma": "a", "upos": "X", "deprel": "root", "notes": "n",
+             field: cell}
+    sentence = Sentence(cells["sid"], (
+        Token(NodeId(1), cells["form"], lemma=cells["lemma"], upos=cells["upos"], head=ROOT,
+              deprel=cells["deprel"], notes=cells["notes"]),
+        Token(NodeId(2), "b", head=NodeId(1), deprel="dep")))  # the sheet's HEAD repeats form
+    try:
+        text = emit([sentence])
+    except SpokenUdError:
+        return
+    assert parse(text) == [sentence]
+
+
+@pytest.mark.parametrize("cell", ["a\u2028b", "\x85", "\xa0"])
+@pytest.mark.parametrize("emit, parse", [(emit_conllu, parse_conllu), (emit_sheet, parse_sheet)],
+                         ids=["conllu", "sheet"])
+def test_writers_keep_a_character_that_ends_no_line_in_their_readers(emit, parse, cell):
+    sentence = random_wrap(Token(NodeId(1), cell, lemma=cell, head=ROOT, deprel="root",
+                                 notes=cell))
+    assert parse(emit([sentence])) == [sentence]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_readers_end_a_line_where_a_file_read_as_text_does(newline):
+    rng = random.Random(36)
+    conllu = [random_sentence(rng, f"c{i}") for i in range(5)]
+    sheet = [random_sentence(rng, f"s{i}", sheet_compatible=True) for i in range(5)]
+    assert parse_conllu(emit_conllu(conllu).replace("\n", newline)) == conllu
+    assert parse_sheet(emit_sheet(sheet).replace("\n", newline)) == sheet
+    with pytest.raises(MalformedLine) as err:  # line numbers count those line ends too
+        parse_conllu(TWO_TOKEN.replace("\n", newline).replace("world", "wor\x07ld"))
+    assert err.value.line_no == 3
+
+
+def test_a_free_comment_line_survives_the_conllu_round_trip():
+    text = TWO_TOKEN.replace("\n", "\n# a remark without an equals sign\n", 1) + "\n"
+    [sentence] = parse_conllu(text)
+    assert sentence.metadata["comments"] == ("a remark without an equals sign",)
+    assert emit_conllu([sentence]) == text
 
 
 @pytest.mark.parametrize("sid", [" a", "a ", " a ", "\u2028a", "a\x85"])
@@ -403,6 +467,29 @@ def test_load_manifest_rejects_missing_id(tmp_path):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(SpokenUdError, match="line 1: sentence_id must be"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("gold, message", [
+    (GOLD_BLOCK + "\n" + GOLD_BLOCK, "gold_conllu must hold exactly one sentence, found 2"),
+    ("# sent_id = y\n" + GOLD_BLOCK, "embedded gold of x is labeled 'y'"),
+], ids=["two-sentences", "another-id"])
+def test_load_manifest_refuses_a_gold_that_is_not_its_one_sentence(tmp_path, gold, message):
+    obj = json.loads(manifest_line("x"))
+    obj["gold_conllu"] = gold
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(SpokenUdError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: line 1: {message}"
+
+
+def test_load_manifest_reads_a_crlf_gold_conllu_as_it_reads_lf(tmp_path):
+    obj = json.loads(manifest_line("x"))
+    obj["gold_conllu"] = GOLD_BLOCK.replace("Lang=spa\n", "Lang=spa|OrigIndex=5\r\n")
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    [entry] = load_manifest(path).entries
+    assert [(t.lang_tag, t.orig_token_index) for t in entry.gold.tokens] == [("spa", 5)] * 2
 
 
 def test_load_manifest_checks_declared_counts(tmp_path):

@@ -4,6 +4,8 @@ import pytest
 
 from spokenud.core import ROOT, Category, NodeId, Sentence, SpokenUdError, Token
 from spokenud.flexud import (
+    Alignment,
+    AlignmentLink,
     ComponentScores,
     FlexResult,
     align_tokens,
@@ -11,6 +13,7 @@ from spokenud.flexud import (
 )
 from spokenud.metrics import (
     STANDARD_TABLE_COLUMNS,
+    AlignmentMismatch,
     AttachmentCounts,
     SentenceResult,
     StandardScores,
@@ -41,6 +44,13 @@ def test_identity_scores_one():
                  ["PRON", "VERB", "SCONJ", "INTJ"])
     result = score(gold, gold)
     assert (result.las, result.uas, result.clas, result.upos_acc) == (1, 1, 1, 1)
+
+
+def test_an_alignment_naming_a_node_the_sentence_lacks_is_refused():
+    gold = build(["a", "b"], [0, 1], ["root", "dep"])
+    alignment = Alignment((AlignmentLink((NodeId(3),), (NodeId(1),), "one_one"),))
+    with pytest.raises(AlignmentMismatch, match="^alignment references unknown node ids: "):
+        attachment_scores(gold, gold, alignment)
 
 
 def test_half_heads_quarter_labels():

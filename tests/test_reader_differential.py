@@ -6,10 +6,12 @@ foreign and repeated MISC items, out-of-range or unreadable MISC values,
 whitespace-only separators and carriage returns, 9 or 11 columns, bad ids
 and heads, range lines and comment lines. Both readers must return equal
 sentences (with equal ``repr``, so dict order counts too), or raise the same
-exception type with the same message. The one exception: a text holding a
-control character (``core.CONTROL_CHARACTER``; the generator makes separator
-lines of ``\x0b`` and ``\x1c``) is refused by the reader, naming the line of
-the first one, where the reference read on.
+exception type with the same message. Two exceptions: the reader ends a
+line at ``\r\n`` and at a lone ``\r`` too, as a file opened as text does, so
+the reference reads the text with those written as ``\n``; and a text
+holding a control character (``core.CONTROL_CHARACTER``; the generator makes
+separator lines of ``\x0b`` and ``\x1c``) is refused by the reader, naming
+the line of the first one, where the reference read on.
 """
 
 import random
@@ -89,31 +91,39 @@ def read(parse, text):
     return sentences, repr(sentences)
 
 
+def newlines(text):
+    """``text`` with each ``\r\n`` and lone ``\r`` written as ``\n``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def assert_control_character_refused(text):
     """The reader refuses ``text``, naming the line of its first control character."""
-    found = CONTROL_CHARACTER.search(text)
-    line_no = text.count("\n", 0, found.start()) + 1
+    lines = newlines(text)
+    found = CONTROL_CHARACTER.search(lines)
+    line_no = lines.count("\n", 0, found.start()) + 1
     with pytest.raises(MalformedLine) as err:
         parse_conllu(text)
     assert str(err.value) == (f"line {line_no}: a control character "
-                              f"U+{ord(found.group()):04X}: {text.split(chr(10))[line_no - 1]!r}")
+                              f"U+{ord(found.group()):04X}: {lines.split(chr(10))[line_no - 1]!r}")
 
 
 def test_reader_equals_the_block_reader_on_mutated_lines():
     rng = random.Random(29)
-    refused = controls = 0
+    refused = controls = returns = 0
     for case in range(CASES):
         text = mutated_text(rng, case)
+        returns += "\r" in text
         if CONTROL_CHARACTER.search(text):
             assert_control_character_refused(text)
             refused, controls = refused + 1, controls + 1
             continue
-        expected = read(reference.parse_conllu, text)
+        expected = read(reference.parse_conllu, newlines(text))
         assert read(parse_conllu, text) == expected, text
         refused += isinstance(expected[0], type)
     # The mutations must reach both outcomes, or the test checks little.
     assert 0.2 < refused / CASES < 0.8, refused
     assert 0 < controls < 0.2 * CASES, controls
+    assert 0 < returns < 0.5 * CASES, returns
 
 
 @pytest.mark.parametrize("separator", SEPARATORS[1:])
@@ -124,7 +134,7 @@ def test_whitespace_only_lines_separate_blocks(separator):
     if CONTROL_CHARACTER.search(separator):
         assert_control_character_refused(text)
         return
-    assert read(parse_conllu, text) == read(reference.parse_conllu, text)
+    assert read(parse_conllu, text) == read(reference.parse_conllu, newlines(text))
     assert [s.sentence_id for s in parse_conllu(text)] == ["a", "b"]
 
 

@@ -81,24 +81,44 @@ def test_missing_replay_file_fails_loudly(replay_dir, pipeline_manifest_path, tm
     assert "no recorded response" in result.error
 
 
-def test_an_empty_core_lemma_keeps_the_lsr_lemma(tmp_path, pipeline_manifest_path):
-    """Core's LEMMA wins when it is non-empty; an empty or null one falls back
-    to LSR's lemma, and a row with neither has none."""
+def replay_parse(tmp_path, manifest_path, sid, edit):
+    """Parse manifest sentence ``sid`` in replay mode from its recorded stage
+    responses after ``edit(responses)``."""
     scripts = Path(__file__).parent / "data" / "replay_scripts"
-    responses = {stage: json.loads((scripts / f"fig2.{stage}.json").read_text("utf-8"))
+    responses = {stage: json.loads((scripts / f"{sid}.{stage}.json").read_text("utf-8"))
                  for stage in ("sph", "lsr", "core")}
-    core = {row["proposed_ID"]: row for row in responses["core"]["annotated_tokens"]}
-    lsr = {row["proposed_ID"]: row for row in responses["lsr"]["tokens"]}
-    core["2"]["LEMMA"], core["9"]["LEMMA"] = "", None  # LSR: "then", "buy"
-    core["10"]["LEMMA"] = lsr["10"]["lemma"] = ""
-    core["1"]["LEMMA"] = "luego"  # LSR: "entonces"
+    edit(responses)
     config = replay_config(tmp_path)
-    entry = next(e for e in load_manifest(pipeline_manifest_path).entries
-                 if e.sentence_id == "fig2")
+    entry = next(e for e in load_manifest(manifest_path).entries if e.sentence_id == sid)
     sentence = manifest_entry_to_input_sentence(entry)
     seed_replay_store(ReplayStore(tmp_path), sentence,
                       {stage: json.dumps(obj) for stage, obj in responses.items()},
                       config.backend.model_name, mwe_whitelist=config.mwe_whitelist)
-    parse = parse_sentence(sentence, make_backend(config.backend), config)
+    return parse_sentence(sentence, make_backend(config.backend), config)
+
+
+def test_an_empty_core_lemma_keeps_the_lsr_lemma(tmp_path, pipeline_manifest_path):
+    """Core's LEMMA wins when it is non-empty; an empty or null one falls back
+    to LSR's lemma, and a row with neither has none."""
+    def edit(responses):
+        core = {row["proposed_ID"]: row for row in responses["core"]["annotated_tokens"]}
+        lsr = {row["proposed_ID"]: row for row in responses["lsr"]["tokens"]}
+        core["2"]["LEMMA"], core["9"]["LEMMA"] = "", None  # LSR: "then", "buy"
+        core["10"]["LEMMA"] = lsr["10"]["lemma"] = ""
+        core["1"]["LEMMA"] = "luego"  # LSR: "entonces"
+
+    parse = replay_parse(tmp_path, pipeline_manifest_path, "fig2", edit)
     lemmas = {str(token.id): token.lemma for token in induced_sentence(parse).tokens}
     assert (lemmas["1"], lemmas["2"], lemmas["9"], lemmas["10"]) == ("luego", "then", "buy", None)
+
+
+def test_a_core_head_id_that_names_no_node_is_repaired_by_its_head_form(
+        tmp_path, pipeline_manifest_path):
+    """The Core schema's id pattern admits "4.0", which no node id reads as."""
+    def edit(responses):
+        responses["core"]["annotated_tokens"][1]["HEAD_ID"] = "4.0"  # "de", HEAD_FORM mercado
+
+    parse = replay_parse(tmp_path, pipeline_manifest_path, "del1", edit)
+    assert parse.adjudication_log == ("repair[head]: invalid head '4.0' of 2 resolved to 4 "
+                                      "by unique HEAD_FORM 'mercado'",)
+    assert induced_sentence(parse).tokens[1].head == NodeId(4)
