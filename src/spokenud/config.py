@@ -1,14 +1,13 @@
-"""Toolkit configuration: one declarative YAML document with all defaults
-inline-documented; user files override defaults, CLI flags override both."""
+"""Toolkit configuration: the defaults are ``ToolkitConfig()``, which the
+shipped YAML document restates with inline comments; a user file overrides
+that document, CLI flags override both. PyYAML loads only for a user file."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from .backends import BACKEND_MODES, MAX_WORKERS, BackendConfig
 from .core import SpokenUdError, UD_RELATIONS, UPOS_TAGS
@@ -21,13 +20,13 @@ class ConfigError(SpokenUdError):
 
 @dataclass(frozen=True)
 class ToolkitConfig:
-    weights: Weights
-    tolerance: ToleranceConfig
-    penalties: PenaltySchedule
-    mwe_whitelist: tuple[str, ...]
-    allowed_upos: frozenset
-    allowed_deprels: frozenset
-    backend: BackendConfig
+    weights: Weights = Weights()
+    tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)  # holds a dict
+    penalties: PenaltySchedule = PenaltySchedule()
+    mwe_whitelist: tuple[str, ...] = ("you know", "a lot", "pitta bread", "swimming pool")
+    allowed_upos: frozenset = UPOS_TAGS
+    allowed_deprels: frozenset = UD_RELATIONS
+    backend: BackendConfig = BackendConfig()
     workers: int = 1
     agent_retries: int = 2
 
@@ -48,33 +47,30 @@ def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     return merged
 
 
-def _load_yaml(text: str):
-    """The document in ``text``, parsed by libyaml when PyYAML has it."""
-    return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-
-
 def load_config(path: str | Path | None = None) -> ToolkitConfig:
-    """Build the toolkit configuration from the shipped defaults, optionally
-    merged with a user YAML file of the same structure. The defaults hold
-    every key and a user file can only override one, so every key is read."""
-    document = _load_yaml(resources.files("spokenud.data")
-                          .joinpath("default_config.yaml").read_text("utf-8"))
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file does not exist: {path}")
-        try:
-            user = _load_yaml(path.read_text("utf-8")) or {}
-        except (ValueError, yaml.YAMLError) as err:  # also bad UTF-8
-            raise ConfigError(f"config file is not UTF-8 YAML: {path}: "
-                              f"{' '.join(str(err).split())}") from None  # one line
-        if not isinstance(user, dict):
-            raise ConfigError(f"config file must hold a mapping: {path}")
-        try:
-            return _build(_deep_merge(document, user))
-        except ConfigError as err:
-            raise ConfigError(f"{path}: {err}") from None
-    return _build(document)
+    """``ToolkitConfig()``, or with ``path`` the shipped document merged with
+    a user YAML file of the same structure. The shipped document holds every
+    key and a user file can only override one, so every key is read."""
+    if path is None:
+        return ToolkitConfig()
+    import yaml
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's when PyYAML has it
+    document = yaml.load(resources.files("spokenud.data")
+                         .joinpath("default_config.yaml").read_text("utf-8"), Loader=loader)
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file does not exist: {path}")
+    try:
+        user = yaml.load(path.read_text("utf-8"), Loader=loader) or {}
+    except (ValueError, yaml.YAMLError) as err:  # also bad UTF-8
+        raise ConfigError(f"config file is not UTF-8 YAML: {path}: "
+                          f"{' '.join(str(err).split())}") from None  # one line
+    if not isinstance(user, dict):
+        raise ConfigError(f"config file must hold a mapping: {path}")
+    try:
+        return _build(_deep_merge(document, user))
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def _number(doc: dict, key: str, kind=float, least=None, most=None):

@@ -236,9 +236,9 @@ def emit_conllu(sentences: Iterable[Sentence]) -> str:
             out.append(f"# category = {sentence.category.value}")
         reserved = {"comments", "mwt"}
         for key in sorted(k for k in sentence.metadata if k not in reserved):
-            out.append(f"# {key} = {sentence.metadata[key]}")
+            out.append(_comment_line(sid, key, sentence.metadata[key]))
         for comment in sentence.metadata.get("comments", ()):
-            out.append(f"# {comment}")
+            out.append(_comment_line(sid, comment))
         mwt_by_start: dict[int, list[tuple[str, ...]]] = {}
         for start, columns in sentence.metadata.get("mwt", ()):
             mwt_by_start.setdefault(start, []).append(columns)
@@ -249,6 +249,19 @@ def emit_conllu(sentences: Iterable[Sentence]) -> str:
             out.append(_emit_token_line(token))
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
+
+
+def _comment_line(sid: str, key: str, *value: str) -> str:
+    """``# key = value``, or ``# key``; refused unless parse_conllu reads it back."""
+    line = f"# {key} = {value[0]}" if value else f"# {key}"
+    for text in (key, *value):
+        if fault := (breaks_cell(text) or text != text.strip() and "leading or trailing whitespace"
+                     if isinstance(text, str) else "not a string"):
+            raise SpokenUdError(f"{fault} in {text!r}, comment line {line!r} of sentence {sid!r}")
+    if "=" in key or value and key in ("", "sent_id", "category"):
+        why = "an empty, reserved or '='-holding key" if value else "an '=' in a free comment"
+        raise SpokenUdError(f"{why}: comment line {line!r} of sentence {sid!r}")
+    return line
 
 
 def _emit_token_line(token: Token) -> str:

@@ -112,7 +112,7 @@ def make_dotted_mwe(tokens: Sequence[PipelineToken],
         raise SpanTooShort(f"MWE span must be contiguous, got {majors}")
 
     by_id = {t.proposed_id: t for t in tokens}
-    missing = [node for node in span if node not in by_id]
+    missing = [node.major for node in span if node not in by_id]
     if missing:
         raise SpanTooShort(f"MWE span references missing nodes {missing}")
     dotted_id = NodeId(majors[0], 1)

@@ -1,11 +1,17 @@
 """What the program loads at start-up, each check in a fresh interpreter.
 
 ``eval``, ``validate`` and ``report`` never check a stage schema, hash a
-request, start a worker pool or open an HTTP connection, so importing the
-command line and running them loads neither ``jsonschema``'s code, nor
-``hashlib``, nor the thread pool, nor the HTTP client. ``parse`` checks stage schemas and words their refusals without
-loading ``jsonschema``'s code either, and its first check is safe when
-several worker threads make it at once.
+request, start a worker pool, open an HTTP connection or read a config
+file, so importing the command line and running them loads neither
+``jsonschema``'s code, nor ``hashlib``, nor the thread pool, nor the HTTP
+client, nor PyYAML. ``parse`` checks stage schemas and words their refusals
+without loading ``jsonschema``'s code either, and its first check is safe
+when several worker threads make it at once.
+
+Beyond that deny-list, each case pins the exact set of non-stdlib top-level
+modules it adds over the interpreter's own start-up set (which may already
+hold modules that a ``.pth`` file imports): ``spokenud`` and the lazy
+``jsonschema`` binding, whose code never runs; with ``--config``, PyYAML's.
 """
 
 import json
@@ -22,8 +28,10 @@ from spokenud.pipeline.prompts import STAGES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).parent / "data"
+SHIPPED_CONFIG = SRC / "spokenud" / "data" / "default_config.yaml"
 NOT_LOADED = ("jsonschema.validators", "jsonschema.exceptions", "hashlib", "_hashlib",
-              "concurrent.futures", "http.client", "urllib.request")
+              "concurrent.futures", "http.client", "urllib.request", "yaml")
+OWN = ["jsonschema", "spokenud"]
 GOLD = """\
 # sent_id = s1
 # category = simple-repetition
@@ -37,9 +45,10 @@ GOLD = """\
 
 def run_fresh(code: str) -> dict:
     """Run ``code`` in a fresh interpreter that imports spokenud from this
-    checkout; ``code`` leaves a JSON-serialisable ``result``, returned here."""
-    script = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-              "print(json.dumps(result))")
+    checkout; ``code`` leaves a JSON-serialisable ``result``, returned here.
+    ``START`` holds the top-level modules loaded before ``code`` runs."""
+    script = ("import json, sys\nSTART = {name.partition('.')[0] for name in sys.modules}\n"
+              f"sys.path.insert(0, {str(SRC)!r})\n{code}\nprint(json.dumps(result))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -47,10 +56,38 @@ def run_fresh(code: str) -> dict:
 
 
 LOADED = f"[name for name in {NOT_LOADED!r} if name in sys.modules]"
+# The non-stdlib top-level modules loaded since start-up.
+ADDED = ("sorted({name.partition('.')[0] for name in sys.modules} - START"
+         " - set(sys.stdlib_module_names))")
 
 
 def test_importing_the_command_line_loads_none_of_them():
-    assert run_fresh(f"import spokenud.cli\nresult = {LOADED}") == []
+    result = run_fresh(f"""
+import spokenud.cli
+from spokenud.config import load_config
+load_config()
+result = [{LOADED}, {ADDED}]
+""")
+    assert result == [[], OWN]
+
+
+def test_a_config_file_adds_only_pyyaml(tmp_path):
+    """``--config`` with the shipped document loads PyYAML's modules (as
+    importing ``yaml`` alone loads them here) and no others, and gives the
+    default configuration."""
+    (tmp_path / "gold.conllu").write_text(GOLD, encoding="utf-8")
+    pyyaml = run_fresh(f"import yaml\nresult = {ADDED}")
+    assert "yaml" in pyyaml
+    result = run_fresh(f"""
+import contextlib, io, os
+os.chdir({str(tmp_path)!r})
+from spokenud import cli
+from spokenud.config import ToolkitConfig, load_config
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--config", {str(SHIPPED_CONFIG)!r}, "validate", "gold.conllu"])
+result = [code, {ADDED}, load_config({str(SHIPPED_CONFIG)!r}) == ToolkitConfig()]
+""")
+    assert result == [0, sorted({*OWN, *pyyaml}), True]
 
 
 def test_eval_validate_and_report_load_none_of_them(tmp_path):
@@ -69,9 +106,9 @@ result = []
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    result.append([argv[0], code, {LOADED}])
+    result.append([argv[0], code, {LOADED}, {ADDED}])
 """)
-    assert result == [["eval", 0, []], ["validate", 0, []], ["report", 0, []]]
+    assert result == [["eval", 0, [], OWN], ["validate", 0, [], OWN], ["report", 0, [], OWN]]
     assert (tmp_path / "report" / "flexud_by_category.md").is_file()
 
 
@@ -109,9 +146,9 @@ import contextlib, io
 from spokenud import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
-result = [code, {LOADED}]
+result = [code, {LOADED}, {ADDED}]
 """)
-    assert result == [0, ["hashlib", "_hashlib"]]
+    assert result == [0, ["hashlib", "_hashlib"], OWN]
     assert (tmp_path / "out" / "parses.conllu").read_text(encoding="utf-8").strip()
 
 

@@ -166,6 +166,59 @@ def test_a_free_comment_line_survives_the_conllu_round_trip():
     assert emit_conllu([sentence]) == text
 
 
+@pytest.mark.parametrize("metadata, message", [
+    ({"comments": ("x\ny",)},
+     r"a tab or line break in 'x\ny', comment line '# x\ny' of sentence 's'"),
+    ({"k": "a\x07"}, r"a control character U+0007 in 'a\x07', comment line '# k = a\x07' of sentence 's'"),
+    ({"comments": ("p = q",)}, "an '=' in a free comment: comment line '# p = q' of sentence 's'"),
+    ({"k": " v "}, "leading or trailing whitespace in ' v ', comment line '# k =  v ' of sentence 's'"),
+    ({" k": "v"}, "leading or trailing whitespace in ' k', comment line '#  k = v' of sentence 's'"),
+    ({"sent_id": "z"},
+     "an empty, reserved or '='-holding key: comment line '# sent_id = z' of sentence 's'"),
+    ({"category": "x"},
+     "an empty, reserved or '='-holding key: comment line '# category = x' of sentence 's'"),
+    ({"": "v"}, "an empty, reserved or '='-holding key: comment line '#  = v' of sentence 's'"),
+    ({"a=b": "c"}, "an empty, reserved or '='-holding key: comment line '# a=b = c' of sentence 's'"),
+    ({"k": 5}, "not a string in 5, comment line '# k = 5' of sentence 's'"),
+], ids=["comment-newline", "value-control", "comment-equals", "value-padded", "key-padded",
+        "key-sent-id", "key-category", "key-empty", "key-equals", "value-int"])
+def test_emit_conllu_refuses_metadata_its_reader_would_read_back_otherwise(metadata, message):
+    sentence = Sentence("s", (Token(NodeId(1), "a", head=ROOT, deprel="root"),), metadata=metadata)
+    with pytest.raises(SpokenUdError) as err:
+        emit_conllu([sentence])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("metadata", [{"comments": ("",)}, {"k": ""}, {"k": "a = b"},
+                                      {"k v": "a\xa0b\x85c"}, {"comments": ("# a:b",)}])
+def test_emit_conllu_keeps_metadata_that_reads_back_as_written(metadata):
+    sentence = Sentence("s", (Token(NodeId(1), "a", head=ROOT, deprel="root"),), metadata=metadata)
+    assert parse_conllu(emit_conllu([sentence])) == [sentence]
+
+
+# A metadata key, value or free comment: either only characters the reader
+# keeps as written (NEL among them), or any mix of those with its separator,
+# spaces (NBSP among them), a line break and a control character.
+COMMENT = (st.text(st.sampled_from(["a", "b", "#", "\x85"]), min_size=1, max_size=3)
+           | st.text(st.sampled_from(["=", " ", "\n", "\x07", "a", "\x85", "\xa0", "#"]),
+                     max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(metadata=st.dictionaries(COMMENT | st.sampled_from(["sent_id", "category"]), COMMENT,
+                                max_size=2),
+       comments=st.lists(COMMENT, max_size=2))
+def test_emit_conllu_refuses_metadata_or_its_reader_gives_it_back(metadata, comments):
+    if comments:
+        metadata["comments"] = tuple(comments)
+    sentence = Sentence("s", (Token(NodeId(1), "a", head=ROOT, deprel="root"),), metadata=metadata)
+    try:
+        text = emit_conllu([sentence])
+    except SpokenUdError:
+        return
+    assert parse_conllu(text) == [sentence]
+
+
 @pytest.mark.parametrize("sid", [" a", "a ", " a ", "\u2028a", "a\x85"])
 def test_emit_conllu_refuses_a_sent_id_its_reader_would_strip(sid):
     from spokenud.core import Sentence
