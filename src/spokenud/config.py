@@ -5,12 +5,12 @@ that document, CLI flags override both. PyYAML loads only for a user file."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
 from .backends import BACKEND_MODES, MAX_WORKERS, BackendConfig
-from .core import SpokenUdError, UD_RELATIONS, UPOS_TAGS
+from .core import FrozenMap, SpokenUdError, UD_RELATIONS, UPOS_TAGS
 from .flexud import PenaltySchedule, ToleranceConfig, Weights
 
 
@@ -21,7 +21,7 @@ class ConfigError(SpokenUdError):
 @dataclass(frozen=True)
 class ToolkitConfig:
     weights: Weights = Weights()
-    tolerance: ToleranceConfig = field(default_factory=ToleranceConfig)  # holds a dict
+    tolerance: ToleranceConfig = ToleranceConfig()
     penalties: PenaltySchedule = PenaltySchedule()
     mwe_whitelist: tuple[str, ...] = ("you know", "a lot", "pitta bread", "swimming pool")
     allowed_upos: frozenset = UPOS_TAGS
@@ -139,8 +139,8 @@ def _build(document: dict) -> ToolkitConfig:
             tolerance_doc, "evaluation.tolerance.deprel_classes", nested=True)),
         upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit"),
         deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit"),
-        contraction_table={str(k): str(v) for k, v in _section(
-            tolerance_doc, "evaluation.tolerance.contractions").items()},
+        contraction_table=FrozenMap({str(k): str(v) for k, v in _section(
+            tolerance_doc, "evaluation.tolerance.contractions").items()}),
     )
 
     penalties_doc = _section(evaluation, "evaluation.penalties")

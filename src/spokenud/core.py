@@ -13,11 +13,28 @@ import functools
 import operator
 import re
 from dataclasses import dataclass, field, fields
+from sys import intern
 from typing import Iterable, Mapping
 
 
 class SpokenUdError(Exception):
     """Base class for all toolkit errors."""
+
+
+class FrozenMap(dict):
+    """A dict that refuses every change; ``repr``, ``==`` and JSON are a dict's."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenMap, (dict(self),)
 
 
 # The 17 universal POS tags.
@@ -46,6 +63,7 @@ FUNCTIONAL_RELATIONS = frozenset({
 LANG_TAGS = ("eng", "spa", "mixed", "unknown")
 
 SPOKEN_LABELS = ("reparandum", "dep", "discourse", "filler", "none")
+NO_CONFIDENCES = FrozenMap()  # every Token without confidences holds this one
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # the one text UTF-8 cannot encode
 CONTROL_CHARACTER = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\x7f\ufeff]")  # C0, DEL and BOM
@@ -88,10 +106,14 @@ class NodeId(tuple):
     """
 
     __slots__ = ()
+    SHARED, _ids = 4096, {}  # NodeId(1) .. NodeId(SHARED): one instance each, built on first use
     major = property(operator.itemgetter(0))
     minor = property(operator.itemgetter(1))
 
     def __new__(cls, major: int, minor: int | None = None):
+        if minor is None and type(major) is int and 0 < major <= cls.SHARED:
+            node = cls._ids.get(major)
+            return node or cls._ids.setdefault(major, tuple.__new__(cls, (major, None)))
         if major < 1:
             raise ValueError(f"node major must be >= 1, got {major}")
         if minor is not None and minor < 1:
@@ -211,8 +233,8 @@ class UnknownCategory(SpokenUdError):
 
 @dataclass(frozen=True, slots=True, init=False)
 class Token:
-    """One annotated node of a spoken-UD sentence. Slotted: ``__init__`` holds
-    the defaults and the checks, and stores through the slot descriptors."""
+    """One annotated node of a spoken-UD sentence. Slotted: ``__init__`` holds the
+    defaults and checks, interns str cells and stores through the slot descriptors."""
 
     id: NodeId
     form: str
@@ -239,21 +261,22 @@ class Token:
             raise ValueError(f"unknown spoken label: {spoken_label!r}")
         if not 0.0 <= penalty <= 1.0:
             raise ValueError(f"penalty must be in [0,1], got {penalty}")
-        confidences = {} if confidences is None else confidences
-        for stage, value in confidences.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"confidence {stage}={value} outside [0,1]")
+        if confidences:
+            confidences = confidences if type(confidences) is FrozenMap else FrozenMap(confidences)
+            for stage, value in confidences.items():
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"confidence {stage}={value} outside [0,1]")
         _set_id(self, id)
-        _set_form(self, form)
+        _set_form(self, intern(form) if type(form) is str else form)
         _set_orig_token_index(self, orig_token_index)
-        _set_lemma(self, lemma)
-        _set_upos(self, upos)
+        _set_lemma(self, intern(lemma) if type(lemma) is str else lemma)
+        _set_upos(self, intern(upos) if type(upos) is str else upos)
         _set_head(self, head)
-        _set_deprel(self, deprel)
+        _set_deprel(self, intern(deprel) if type(deprel) is str else deprel)
         _set_lang_tag(self, lang_tag)
         _set_spoken_label(self, spoken_label)
         _set_spoken_anchor(self, spoken_anchor)
-        _set_confidences(self, confidences)
+        _set_confidences(self, confidences or NO_CONFIDENCES)
         _set_penalty(self, penalty)
         _set_notes(self, notes)
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
     Category,
+    FrozenMap,
     NodeId,
     RootSentinel,
     Sentence,
@@ -77,12 +78,12 @@ class Alignment:
 
 # Full-form rewrites applied before the generic n't rule; values are the
 # concatenation the split parts normalize to.
-DEFAULT_CONTRACTIONS = {
+DEFAULT_CONTRACTIONS = FrozenMap({
     "won't": "willnot",
     "can't": "cannot",
     "del": "deel",
     "al": "ael",
-}
+})
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class ToleranceConfig:
     )
     upos_credit: float = 0.8
     deprel_credit: float = 0.8
-    contraction_table: dict = field(default_factory=lambda: dict(DEFAULT_CONTRACTIONS))
+    contraction_table: FrozenMap = DEFAULT_CONTRACTIONS
 
     def upos_pair_credit(self, a: str | None, b: str | None) -> Fraction | None:
         if a is None or b is None:
@@ -123,12 +124,11 @@ class ToleranceConfig:
 DEFAULT_TOLERANCE = ToleranceConfig()
 
 
-def normalize_form(form: str, contractions: dict | None = None) -> str:
+def normalize_form(form: str, contractions: dict = DEFAULT_CONTRACTIONS) -> str:
     """Lowercase, expand standard contractions, drop apostrophes/underscores."""
-    table = DEFAULT_CONTRACTIONS if contractions is None else contractions
     s = form.lower().replace("_", "")
-    if s in table:
-        s = table[s]
+    if s in contractions:
+        s = contractions[s]
     elif s.endswith("n't"):
         s = s[:-3] + "not"
     return s.replace("'", "").replace("’", "")

@@ -20,6 +20,7 @@ from .core import (
     LANG_TAGS,
     ROOT,
     Category,
+    FrozenMap,
     NodeId,
     RootSentinel,
     Sentence,
@@ -125,7 +126,7 @@ def _decode_misc(misc: str) -> tuple:
             penalty = float(value)
         elif key == "Notes":
             notes = urllib.parse.unquote(value)
-    return (orig_index, lang_tag, spoken_label, spoken_anchor, confidences,
+    return (orig_index, lang_tag, spoken_label, spoken_anchor, FrozenMap(confidences),
             penalty, notes)
 
 
@@ -138,12 +139,10 @@ def parse_conllu(text: str) -> list[Sentence]:
     tab-separated columns, or any control character, raises MalformedLine.
 
     One pass over the lines. Each distinct MISC cell is decoded once per
-    call, and each distinct FORM, LEMMA, UPOS and DEPREL value is one shared
-    str; every Token gets its own confidences dict.
+    call, and the tokens it reads into share one read-only confidences map.
     """
     sentences: list[Sentence] = []
     misc_memo: dict[str, tuple] = {}
-    share_form, share = {}.setdefault, {"_": None}.setdefault  # "_" reads as None
     parse_id = NodeId.parse
     in_block = False
     for line_no, line in enumerate([*_lines(text), ""], start=1):  # "" ends a block
@@ -197,14 +196,12 @@ def parse_conllu(text: str) -> list[Sentence]:
             except ValueError:
                 raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
         try:
-            decoded = misc_memo.get(misc)
-            if decoded is None:
-                decoded = misc_memo[misc] = _decode_misc(misc)
+            decoded = misc_memo.get(misc) or misc_memo.setdefault(misc, _decode_misc(misc))
             orig_index, lang_tag, label, anchor, confidences, penalty, notes = decoded
             tokens.append(Token(
-                node_id, share_form(form, form), orig_index, share(lemma, lemma),
-                share(upos, upos), head, share(deprel, deprel), lang_tag, label, anchor,
-                dict(confidences), penalty, notes))
+                node_id, form, orig_index, None if lemma == "_" else lemma,
+                None if upos == "_" else upos, head, None if deprel == "_" else deprel,
+                lang_tag, label, anchor, confidences, penalty, notes))
         except ValueError as err:
             raise MalformedLine(line_no, line, str(err))
     return sentences

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -175,6 +176,20 @@ def test_a_user_file_may_add_a_contraction(tmp_path):
                     encoding="utf-8")
     table = load_config(user).tolerance.contraction_table
     assert table == {**load_config().tolerance.contraction_table, "don't": "donot"}
+
+
+def test_a_config_hashes_and_its_contraction_table_is_read_only(tmp_path):
+    user = tmp_path / "user.yaml"
+    user.write_text("evaluation: {tolerance: {contractions: {\"don't\": donot}}}\n",
+                    encoding="utf-8")
+    for config in (ToolkitConfig(), load_config(user)):
+        assert hash(config) == hash(replace(config))
+        with pytest.raises(TypeError, match="FrozenMap is read-only"):
+            config.tolerance.contraction_table["x"] = "y"
+        assert "x" not in config.tolerance.contraction_table
+    # Every default config shares the one default table.
+    assert ToleranceConfig().contraction_table is ToolkitConfig().tolerance.contraction_table
+    assert len({ToolkitConfig(), load_config(), load_config(user)}) == 2
 
 
 def test_more_workers_than_the_cap_are_refused_at_both_entry_points(

@@ -138,11 +138,16 @@ def test_whitespace_only_lines_separate_blocks(separator):
     assert [s.sentence_id for s in parse_conllu(text)] == ["a", "b"]
 
 
-def test_the_misc_memo_gives_every_token_its_own_confidences():
+def test_tokens_with_one_misc_cell_share_one_read_only_confidences():
     row = "{}\ta\t_\tNOUN\t_\t_\t{}\tdep\t_\tConf:final=0.500"
     text = "\n".join(row.format(i, "0" if i == 1 else "1") for i in (1, 2, 3)) + "\n"
     tokens = parse_conllu(text)[0].tokens
     assert [t.confidences for t in tokens] == [{"final": 0.5}] * 3
-    assert len({id(t.confidences) for t in tokens}) == 3
+    assert len({id(t.confidences) for t in tokens}) == 1
+    for change in (lambda c: c.update(final=0.0), lambda c: c.__setitem__("core", 1.0),
+                   lambda c: c.pop("final"), lambda c: c.clear()):
+        with pytest.raises(TypeError):
+            change(tokens[0].confidences)
+    assert [t.confidences for t in tokens] == [{"final": 0.5}] * 3
     # The memo lives only for one call: a second read builds new values.
     assert parse_conllu(text)[0].tokens[0].confidences is not tokens[0].confidences

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spokenud.core import LANG_TAGS, ROOT, SPOKEN_LABELS, NodeId, Token
+from spokenud.core import LANG_TAGS, NO_CONFIDENCES, ROOT, SPOKEN_LABELS, NodeId, Token
 
 import token_reference as reference
 
@@ -85,9 +85,12 @@ def test_each_check_gives_the_dataclass_message(kwargs, message):
         assert str(err.value) == message
 
 
-def test_a_missing_confidences_is_a_fresh_empty_dict():
-    first, second = Token(NodeId(1), "a"), Token(NodeId(2), "b")
-    assert first.confidences == {} and first.confidences is not second.confidences
+def test_a_missing_or_empty_confidences_is_the_shared_read_only_mapping():
+    first, second = Token(NodeId(1), "a"), Token(NodeId(2), "b", confidences={})
+    assert first.confidences == {} and first.confidences is second.confidences is NO_CONFIDENCES
+    with pytest.raises(TypeError, match="FrozenMap is read-only"):
+        first.confidences["final"] = 0.5
+    assert NO_CONFIDENCES == {}
 
 
 def test_signature_keeps_the_dataclass_parameters_and_defaults():
@@ -111,13 +114,16 @@ def test_frozen_slotted_and_without_a_dict():
     assert "__slots__" in Token.__dict__
 
 
-def test_equality_and_hash_as_the_dataclass():
+def test_equality_as_the_dataclass_and_equal_tokens_hash_equal():
     same = Token(**{name: getattr(TOKEN, name) for name in FIELDS})
     assert same == TOKEN and not same != TOKEN
     assert dataclasses.replace(TOKEN, notes="") != TOKEN
     assert TOKEN != reference.Token(NodeId(2), "like")
-    with pytest.raises(TypeError):  # confidences is a dict, as before
-        hash(TOKEN)
+    # confidences is a FrozenMap, so a token hashes, unlike the dataclass's dict.
+    rebuilt = Token(**{name: getattr(TOKEN, name) for name in FIELDS if name != "confidences"},
+                    confidences={"core": 0.5, "final": 0.75})
+    assert rebuilt == TOKEN and hash(rebuilt) == hash(same) == hash(TOKEN)
+    assert len({TOKEN, same, rebuilt, dataclasses.replace(TOKEN, notes="")}) == 2
 
 
 def test_replace_builds_a_new_token_and_checks_it_again():
