@@ -10,7 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 from .backends import BACKEND_MODES, MAX_WORKERS, BackendConfig
-from .core import FrozenMap, SpokenUdError, UD_RELATIONS, UPOS_TAGS
+from .core import SpokenUdError, UD_RELATIONS, UPOS_TAGS
 from .flexud import PenaltySchedule, ToleranceConfig, Weights
 
 
@@ -139,8 +139,8 @@ def _build(document: dict) -> ToolkitConfig:
             tolerance_doc, "evaluation.tolerance.deprel_classes", nested=True)),
         upos_credit=_number(tolerance_doc, "evaluation.tolerance.upos_credit"),
         deprel_credit=_number(tolerance_doc, "evaluation.tolerance.deprel_credit"),
-        contraction_table=FrozenMap({str(k): str(v) for k, v in _section(
-            tolerance_doc, "evaluation.tolerance.contractions").items()}),
+        contraction_table={str(k): str(v) for k, v in _section(
+            tolerance_doc, "evaluation.tolerance.contractions").items()},
     )
 
     penalties_doc = _section(evaluation, "evaluation.penalties")

@@ -106,14 +106,10 @@ class NodeId(tuple):
     """
 
     __slots__ = ()
-    SHARED, _ids = 4096, {}  # NodeId(1) .. NodeId(SHARED): one instance each, built on first use
     major = property(operator.itemgetter(0))
     minor = property(operator.itemgetter(1))
 
     def __new__(cls, major: int, minor: int | None = None):
-        if minor is None and type(major) is int and 0 < major <= cls.SHARED:
-            node = cls._ids.get(major)
-            return node or cls._ids.setdefault(major, tuple.__new__(cls, (major, None)))
         if major < 1:
             raise ValueError(f"node major must be >= 1, got {major}")
         if minor is not None and minor < 1:

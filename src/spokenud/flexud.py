@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -102,7 +102,12 @@ class ToleranceConfig:
     )
     upos_credit: float = 0.8
     deprel_credit: float = 0.8
-    contraction_table: FrozenMap = DEFAULT_CONTRACTIONS
+    # A factory, since Python 3.10 refuses any dict as a field default.
+    contraction_table: FrozenMap = field(default_factory=lambda: DEFAULT_CONTRACTIONS)
+
+    def __post_init__(self):
+        if type(self.contraction_table) is not FrozenMap:  # read-only, so the config hashes
+            object.__setattr__(self, "contraction_table", FrozenMap(self.contraction_table))
 
     def upos_pair_credit(self, a: str | None, b: str | None) -> Fraction | None:
         if a is None or b is None:

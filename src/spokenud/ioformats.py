@@ -139,7 +139,8 @@ def parse_conllu(text: str) -> list[Sentence]:
     tab-separated columns, or any control character, raises MalformedLine.
 
     One pass over the lines. Each distinct MISC cell is decoded once per
-    call, and the tokens it reads into share one read-only confidences map.
+    call into one read-only confidences map that its tokens share; ``Token``
+    interns FORM, LEMMA, UPOS and DEPREL, so equal cells are one str.
     """
     sentences: list[Sentence] = []
     misc_memo: dict[str, tuple] = {}
@@ -196,7 +197,9 @@ def parse_conllu(text: str) -> list[Sentence]:
             except ValueError:
                 raise MalformedLine(line_no, line, f"bad head id {head_col!r}")
         try:
-            decoded = misc_memo.get(misc) or misc_memo.setdefault(misc, _decode_misc(misc))
+            decoded = misc_memo.get(misc)
+            if decoded is None:
+                decoded = misc_memo[misc] = _decode_misc(misc)
             orig_index, lang_tag, label, anchor, confidences, penalty, notes = decoded
             tokens.append(Token(
                 node_id, form, orig_index, None if lemma == "_" else lemma,

@@ -9,7 +9,7 @@ import yaml
 from spokenud.backends import MAX_WORKERS, BackendConfig, BackendError, make_backend
 from spokenud.cli import main
 from spokenud.config import ConfigError, ToolkitConfig, load_config
-from spokenud.core import UD_RELATIONS, UPOS_TAGS
+from spokenud.core import UD_RELATIONS, UPOS_TAGS, FrozenMap
 from spokenud.flexud import PenaltySchedule, ToleranceConfig, Weights
 
 
@@ -190,6 +190,22 @@ def test_a_config_hashes_and_its_contraction_table_is_read_only(tmp_path):
     # Every default config shares the one default table.
     assert ToleranceConfig().contraction_table is ToolkitConfig().tolerance.contraction_table
     assert len({ToolkitConfig(), load_config(), load_config(user)}) == 2
+
+
+def test_a_callers_contraction_dict_is_stored_read_only():
+    table = {"don't": "donot"}
+    tolerance = ToleranceConfig(contraction_table=table)
+    assert type(tolerance.contraction_table) is FrozenMap and tolerance.contraction_table == table
+    table["x"] = "y"  # the caller's dict was copied, not kept
+    assert tolerance.contraction_table == {"don't": "donot"}
+    with pytest.raises(TypeError, match="FrozenMap is read-only"):
+        tolerance.contraction_table["x"] = "y"
+    config = ToolkitConfig(tolerance=tolerance)
+    assert hash(config) == hash(ToolkitConfig(tolerance=ToleranceConfig(
+        contraction_table={"don't": "donot"})))
+    # A FrozenMap is kept as it is.
+    assert ToleranceConfig(contraction_table=tolerance.contraction_table).contraction_table \
+        is tolerance.contraction_table
 
 
 def test_more_workers_than_the_cap_are_refused_at_both_entry_points(
