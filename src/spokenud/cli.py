@@ -119,8 +119,9 @@ def main(argv=None) -> int:
     except SpokenUdError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
+    except OSError as err:  # a full disk, say, names no file
+        named = "" if err.filename is None else f"{err.filename}: "
+        print(f"error: {named}{err.strerror or err}", file=sys.stderr)
         return 1
 
 

@@ -100,52 +100,37 @@ def is_content_relation(deprel: str) -> bool:
 class NodeId(tuple):
     """Token identifier: a positive integer, optionally with a dotted minor.
 
-    The tuple ``(major, minor)``, so hashing and equality run in C and a
-    NodeId equals the plain tuple. Ordering is lexicographic with an absent
-    minor sorting first, so 6 < 6.1 < 7.
+    The tuple ``(major, minor)``, with minor 0 for an integer id, so hashing,
+    equality and ordering are the tuple's and run in C: 6 < 6.1 < 7, as
+    ``(6, 0) < (6, 1) < (7, 0)``. ``minor`` reads None for an integer id.
     """
 
     __slots__ = ()
     major = property(operator.itemgetter(0))
-    minor = property(operator.itemgetter(1))
 
     def __new__(cls, major: int, minor: int | None = None):
         if major < 1:
             raise ValueError(f"node major must be >= 1, got {major}")
         if minor is not None and minor < 1:
             raise ValueError(f"dotted minor must be >= 1, got {minor}")
-        return tuple.__new__(cls, (major, minor))
+        return tuple.__new__(cls, (major, minor or 0))
 
     def __getnewargs__(self) -> tuple[int, int | None]:
-        return tuple(self)
+        return (self[0], self.minor)
 
     def __repr__(self) -> str:
-        return f"NodeId(major={self.major!r}, minor={self.minor!r})"
+        return f"NodeId(major={self[0]!r}, minor={self.minor!r})"
+
+    @property
+    def minor(self) -> int | None:
+        return self[1] or None
 
     @property
     def is_dotted(self) -> bool:
-        return self.minor is not None
-
-    def _key(self) -> tuple[int, int]:
-        return (self.major, -1 if self.minor is None else self.minor)
-
-    # Tuple order cannot compare None with an int, so all four are explicit.
-    def __lt__(self, other):
-        return self._key() < other._key() if isinstance(other, NodeId) else NotImplemented
-
-    def __le__(self, other):
-        return self._key() <= other._key() if isinstance(other, NodeId) else NotImplemented
-
-    def __gt__(self, other):
-        return self._key() > other._key() if isinstance(other, NodeId) else NotImplemented
-
-    def __ge__(self, other):
-        return self._key() >= other._key() if isinstance(other, NodeId) else NotImplemented
+        return self[1] != 0
 
     def __str__(self) -> str:
-        if self.minor is None:
-            return str(self.major)
-        return f"{self.major}.{self.minor}"
+        return f"{self[0]}.{self[1]}" if self[1] else str(self[0])
 
     _TEXT = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
 
@@ -436,5 +421,5 @@ def head_cycles(nodes: Iterable, present: set[NodeId]) -> list[list[NodeId]]:
             cycles.append(sorted(path[path.index(node):]))
         for visited in path:
             color[visited] = 2
-    cycles.sort(key=lambda c: (len(c), c[0]._key()))
+    cycles.sort(key=lambda c: (len(c), c[0]))
     return cycles

@@ -303,7 +303,7 @@ def _attach_dotted_nodes(gold: Sentence, system: Sentence,
         elif partners:
             # System covers the span without a dotted node: fold the gold
             # MWE block and the covering span into one link.
-            merged_gold = sorted(aligned + [token.id], key=lambda x: x._key())
+            merged_gold = sorted(aligned + [token.id])
             links = [l for l in links
                      if not (l.kind == "one_one" and l.gold_ids[0] in aligned)]
             links.append(AlignmentLink(tuple(merged_gold), tuple(partners), "mwe"))
@@ -318,12 +318,11 @@ def _attach_dotted_nodes(gold: Sentence, system: Sentence,
         aligned = [c for c in span(token, system_present) if c in back]
         partners = [back[c] for c in aligned]
         if partners:
-            merged_system = sorted(aligned + [token.id], key=lambda x: x._key())
+            merged_system = sorted(aligned + [token.id])
             links = [l for l in links
                      if not (l.kind == "one_one" and l.system_ids
                              and l.system_ids[0] in aligned)]
-            links.append(AlignmentLink(tuple(sorted(partners, key=lambda x: x._key())),
-                                       tuple(merged_system), "mwe"))
+            links.append(AlignmentLink(tuple(sorted(partners)), tuple(merged_system), "mwe"))
         else:
             links.append(AlignmentLink((), (token.id,), "unaligned_system"))
     return links

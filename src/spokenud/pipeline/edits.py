@@ -64,7 +64,6 @@ def apply_integer_shift(tokens: Sequence[PipelineToken], split_at: int,
     pivot = target.proposed_id.major
     delta = len(parts) - 1
 
-    before = build_id_map(tokens)
     out: list[PipelineToken] = []
     for token in tokens:
         if token is target:
@@ -83,10 +82,14 @@ def apply_integer_shift(tokens: Sequence[PipelineToken], split_at: int,
                 token,
                 proposed_id=_shift_id(token.proposed_id, pivot, delta),
                 spoken_anchor=_shift_anchor(token, pivot, delta)))
-    result = tuple(out)
-    after = build_id_map(result)
-    delta_map = {k: v for k, v in after.items() if before.get(k) != v}
-    return result, delta_map
+    return _with_id_map_delta(tokens, out)
+
+
+def _with_id_map_delta(before: Sequence[PipelineToken], after: list[PipelineToken]
+                       ) -> tuple[tuple[PipelineToken, ...], dict]:
+    """``after`` as a tuple, with the id-map entries that differ from ``before``'s."""
+    old, result = build_id_map(before), tuple(after)
+    return result, {k: v for k, v in build_id_map(result).items() if old.get(k) != v}
 
 
 def _shift_anchor(token: PipelineToken, pivot: int, delta: int) -> NodeId | None:
@@ -131,17 +134,13 @@ def make_dotted_mwe(tokens: Sequence[PipelineToken],
         lang_tag=_combined_lang(components),
         mwe=True,
     )
-    before = build_id_map(tokens)
     out: list[PipelineToken] = []
     last = span[-1]
     for token in tokens:
         out.append(token)
         if token.proposed_id == last:
             out.append(dotted)
-    result = tuple(out)
-    after = build_id_map(result)
-    delta_map = {k: v for k, v in after.items() if before.get(k) != v}
-    return result, delta_map
+    return _with_id_map_delta(tokens, out)
 
 
 def _combined_lang(components: Iterable[PipelineToken]) -> str:

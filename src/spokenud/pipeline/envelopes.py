@@ -286,8 +286,7 @@ def build_id_map(tokens: Iterable[PipelineToken]) -> dict:
     id_map: dict = {}
     for token in tokens:
         id_map.setdefault(token.orig_token_index, []).append(token.proposed_id)
-    return {k: tuple(sorted(v, key=lambda n: n._key()))
-            for k, v in id_map.items()}
+    return {k: tuple(sorted(v)) for k, v in id_map.items()}
 
 
 # --- semantic validation ----------------------------------------------------------

@@ -108,7 +108,7 @@ def finalize(sph: SphOutput, lsr: LsrOutput, core: CoreOutput) -> FinalParse:
     _enforce_root_attachments(rows, root, present, dotted_of, log)
     repair_cycles_rows(rows, root, log)
 
-    rows.sort(key=lambda r: r.id._key())
+    rows.sort(key=lambda r: r.id)
     parse = FinalParse(
         sentence_id=sph.sentence_id,
         tokens=tuple(_final_token(row) for row in rows),
@@ -154,7 +154,7 @@ def _build_rows(sph: SphOutput, lsr: LsrOutput, core: CoreOutput,
             lsr_conf=token.lsr_confidence,
             core_conf=annotated.confidence if annotated else None,
         ))
-    for node in sorted(set(core_by_id) - {row.id for row in rows}, key=lambda n: n._key()):
+    for node in sorted(set(core_by_id) - {row.id for row in rows}):
         log.append(f"merge[unknown-id]: ignored Core row {node} absent from "
                    f"the resolved token list")
     return rows
@@ -290,17 +290,13 @@ def _enforce_root_attachments(rows: list[_Row], root: _Row, present: set,
                 row.head = root.id
 
 
+_ROOT_RANK = {"VERB": 0, "AUX": 1, "NOUN": 2, "PRON": 2}
+
+
 def _root_priority_key(row: _Row, dependents: int):
-    if row.upos == "VERB":
-        rank = 0
-    elif row.upos == "AUX":
-        rank = 1
-    elif row.upos in ("NOUN", "PRON"):
-        rank = 2
-    else:
-        rank = 3
+    rank = _ROOT_RANK.get(row.upos, 3)
     return (rank, -(dependents if rank == 2 else 0),
-            -_combined_confidence(row), row.id._key())
+            -_combined_confidence(row), row.id)
 
 
 def enforce_single_root_rows(rows: list[_Row], log: list) -> _Row:
@@ -341,8 +337,7 @@ def repair_cycles_rows(rows: list[_Row], root: _Row, log: list) -> None:
     present = {row.id for row in rows}
     while cycles := head_cycles(rows, present):
         members = [row for row in rows if row.id in cycles[0]]
-        victim = min(members,
-                     key=lambda r: (_combined_confidence(r), r.id._key()))
+        victim = min(members, key=lambda r: (_combined_confidence(r), r.id))
         confidences = ", ".join(
             f"{r.id}={_combined_confidence(r):.3f}" for r in members)
         victim.head = root.id

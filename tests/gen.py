@@ -46,7 +46,7 @@ def random_sentence(rng: random.Random, sid: str, *,
         if node == root:
             continue
         if valid_tree:
-            earlier = [c for c in annotatable if c._key() < node._key()]
+            earlier = [c for c in annotatable if c < node]
             heads[node] = rng.choice(earlier) if earlier else root
             if heads[node] == node:
                 heads[node] = root
@@ -55,7 +55,7 @@ def random_sentence(rng: random.Random, sid: str, *,
 
     forms: dict[NodeId, str] = {i: _word(rng) for i in ids}
     if components:
-        base = sorted(components, key=lambda x: x._key())
+        base = sorted(components)
         dotted = next(i for i in ids if i.is_dotted)
         forms[dotted] = "_".join(forms[c] for c in base)
 

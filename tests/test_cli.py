@@ -1,5 +1,7 @@
+import errno
 import gc
 import json
+import os
 import shutil
 import weakref
 from pathlib import Path
@@ -769,6 +771,19 @@ def test_missing_input_path_exits_one_naming_it(tmp_path, capsys, command):
                 for a in command]) == 1
     assert capsys.readouterr().err == \
         f"error: {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("error, message", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), os.strerror(errno.ENOSPC)),
+    (OSError("disk gone"), "disk gone"),
+], ids=["strerror", "no-strerror"])
+def test_an_os_error_naming_no_file_exits_one_without_a_file_name(
+        monkeypatch, capsys, error, message):
+    def refuse(text):
+        raise error
+    monkeypatch.setattr("spokenud.cli.parse_conllu", refuse)
+    assert run(["validate", GOLD]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line, reason", [

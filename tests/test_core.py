@@ -54,6 +54,8 @@ def test_nodeid_rejects_bad_values():
         NodeId(0)
     with pytest.raises(ValueError):
         NodeId(3, 0)
+    with pytest.raises(ValueError):
+        NodeId.parse("6.0")
 
 
 node_ids = st.builds(
